@@ -18,8 +18,8 @@ import (
 // closed-chain transformation, validation, and the mixed-network reduction
 // ONCE at construction, then evaluates candidate window vectors by
 // mutating only the chain populations of pooled model copies. Combined
-// with the mva workspace (preallocated buffers, incremental σ curves) and
-// the warm-start seed, the per-candidate cost drops from "build + validate
+// with the mva workspace (preallocated entry-major buffers) and the
+// warm-start seed, the per-candidate cost drops from "build + validate
 // + cold-solve" to a handful of warm fixed-point sweeps with near-zero
 // allocations — the difference WINDIM's inner loop is measured by in
 // BenchmarkEvaluateEngine and BenchmarkDimensionWarmVsCold.
@@ -42,8 +42,11 @@ type Engine struct {
 	// here and passed to every approximate solve. Pooled model copies
 	// share the reference's backing arrays, so one compilation serves all
 	// borrowers (qnet.Sparse.Matches is identity-based).
-	sparse   *qnet.Sparse
-	excluded [][]int
+	sparse *qnet.Sparse
+	// routes lists each chain's network-delay stations (its visit list
+	// minus the excluded sink→source stations), so a candidate's power
+	// metrics cost O(route length).
+	routes   *power.Routes
 	useWarm  bool
 	useChain bool // resilient fallback chain on ErrNotConverged
 	// dog, when non-nil, bounds each candidate solve by a deadline derived
@@ -96,12 +99,16 @@ func NewEngine(n *netmodel.Network, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
+	routes, err := power.NewRoutes(ref, excluded)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		opts:     opts,
-		nCls:     nCls,
-		ref:      ref,
-		sparse:   qnet.Compile(ref),
-		excluded: excluded,
+		opts:   opts,
+		nCls:   nCls,
+		ref:    ref,
+		sparse: qnet.Compile(ref),
+		routes: routes,
 		// The exact evaluator re-validates per call and ColdStart asks for
 		// reproductions of the legacy cold trajectory, so neither seeds
 		// from previous candidates.
@@ -275,9 +282,7 @@ func (e *Engine) EvaluateWithTier(windows numeric.IntVector) (*power.Metrics, Fa
 		return nil, tier, err
 	}
 	m := &power.Metrics{}
-	if err := power.FromSolutionInto(m, &st.model, sol, e.excluded); err != nil {
-		return nil, tier, err
-	}
+	e.routes.MetricsInto(m, sol)
 	return m, tier, nil
 }
 
@@ -292,9 +297,7 @@ func (e *Engine) ObjectiveValue(windows numeric.IntVector, kind ObjectiveKind) (
 	if err != nil {
 		return 0, err
 	}
-	if err := power.FromSolutionInto(&st.metrics, &st.model, sol, e.excluded); err != nil {
-		return 0, err
-	}
+	e.routes.MetricsInto(&st.metrics, sol)
 	return objectiveValue(&st.metrics, kind), nil
 }
 

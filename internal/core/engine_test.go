@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/numeric"
+	"repro/internal/power"
+	"repro/internal/rng"
 	"repro/internal/topo"
 )
 
@@ -239,4 +243,90 @@ func BenchmarkDimensionWarmVsCold(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestEngineRouteMetricsMatchFromSolution: the engine derives each
+// candidate's metrics from its compiled routes in O(route length); they
+// must equal power.FromSolution's dense walk over the same solution bit
+// for bit, for every evaluator the engine serves, warm-seeded solves
+// included.
+func TestEngineRouteMetricsMatchFromSolution(t *testing.T) {
+	mesh, err := topo.Mesh(64, 64, 32, topo.GenConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clos, err := topo.Clos(12, 6, 48, topo.GenConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := topo.Mesh(6, 3, 3, topo.GenConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx := []Options{
+		{Evaluator: EvalSigmaMVA},
+		{Evaluator: EvalSchweitzerMVA},
+		{Evaluator: EvalLinearizerMVA},
+	}
+	exact := append(approx,
+		Options{Evaluator: EvalExactMVA},
+		Options{Evaluator: EvalExactMVA, ExactEngine: true})
+	cases := []struct {
+		name  string
+		net   *netmodel.Network
+		confs []Options
+	}{
+		{"canada4", topo.Canada4Class(9.957, 4.419, 7.656, 7.968), exact},
+		{"mesh-small", small, exact},
+		{"mesh", mesh, approx},
+		{"clos", clos, approx},
+	}
+	for _, c := range cases {
+		nCls := len(c.net.Classes)
+		ones := numeric.NewIntVector(nCls)
+		for i := range ones {
+			ones[i] = 1
+		}
+		_, excluded, err := c.net.ClosedModel(ones)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range c.confs {
+			eng, err := NewEngine(c.net, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := eng.pool.Get().(*evalState)
+			s := rng.New(11)
+			for step := 0; step < 3; step++ {
+				w := numeric.NewIntVector(nCls)
+				for r := range w {
+					w[r] = 1 + s.Intn(4)
+				}
+				tag := fmt.Sprintf("%s %v exact-engine=%v %v", c.name, opts.Evaluator, opts.ExactEngine, w)
+				sol, _, err := eng.solve(st, w)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				want, err := power.FromSolution(&st.model, sol, excluded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got power.Metrics
+				eng.routes.MetricsInto(&got, sol)
+				same := math.Float64bits(got.Power) == math.Float64bits(want.Power) &&
+					math.Float64bits(got.Delay) == math.Float64bits(want.Delay) &&
+					math.Float64bits(got.Throughput) == math.Float64bits(want.Throughput)
+				for r := range want.ClassDelay {
+					same = same && math.Float64bits(got.ClassDelay[r]) == math.Float64bits(want.ClassDelay[r]) &&
+						math.Float64bits(got.ClassThroughput[r]) == math.Float64bits(want.ClassThroughput[r])
+				}
+				if !same {
+					t.Errorf("%s: route metrics %+v, FromSolution %+v", tag, got, *want)
+				}
+				eng.Commit(w)
+			}
+			eng.pool.Put(st)
+		}
+	}
 }

@@ -164,13 +164,20 @@ var ErrNotConverged = errors.New("mva: approximate MVA did not converge")
 // zero throughput.
 //
 // The fixed-point sweeps iterate the network's compiled sparse visit lists
-// (qnet.Sparse), so a sweep costs O(total route length) instead of
-// O(stations × chains); on the window flow-control models, where each
-// chain visits only its route's few stations, that is the difference
-// between per-candidate cost scaling with the network and scaling with the
-// routes. The sparse iteration visits exactly the dense loops' non-zero
-// terms in the dense loops' order, so results are bit-identical to a dense
-// evaluation.
+// (qnet.Sparse) and keep their state per visit-list entry, so a sweep
+// costs O(total route length) instead of O(stations × chains); on the
+// window flow-control models, where each chain visits only its route's few
+// stations, that is the difference between per-candidate cost scaling with
+// the network and scaling with the routes. The sparse iteration visits
+// exactly the dense loops' non-zero terms in the dense loops' order, so
+// results are bit-identical to a dense evaluation.
+//
+// Each sweep takes the per-station queue-length totals once, then runs
+// STEPs 2–5 fused, one chain at a time. The fusion reorders nothing that
+// is read: chain r's σ reads only the pre-sweep throughputs (prev), STEP 3
+// reads only the pre-sweep totals, and chain r's own queue-length update
+// is read by no later chain in the same sweep — so the fused sweep is bit
+// for bit the step-by-step one.
 func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	if !opts.Prevalidated {
@@ -185,8 +192,7 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 	nSt, nCh := net.N(), net.R()
 
 	ws := opts.Workspace
-	private := ws == nil
-	if private {
+	if ws == nil {
 		ws = NewWorkspace()
 	}
 	ws.ensure(nSt, nCh)
@@ -200,17 +206,13 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		active[r] = net.Chains[r].Population > 0
 		anyActive = anyActive || active[r]
 	}
-	sol := ws.sol
-	if private {
-		sol = newSolution(nSt, nCh)
-	}
 	if !anyActive {
-		return sol, nil
+		return ws.solution(sp, 0, ""), nil
 	}
 
 	// STEP 1: initial queue lengths and throughputs — from the warm seed
 	// where one is supplied and usable, the Init rule otherwise.
-	q, lam := ws.q, ws.lam
+	qE, tE, sE, lam, prev, totQ := ws.qE, ws.tE, ws.sE, ws.lam, ws.prev, ws.totQ
 	warm := opts.Warm
 	if !warm.matches(nSt, nCh) {
 		warm = nil
@@ -220,146 +222,133 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 			continue
 		}
 		ch := &net.Chains[r]
-		if warm != nil && seedChainFromWarm(warm, sp, r, ch.Population, q, lam) {
+		if warm != nil && seedChainFromWarm(warm, sp, r, ch.Population, qE, lam) {
 			continue
 		}
-		if err := coldSeedChain(ch, sp, r, opts.Init, q, lam); err != nil {
+		if err := coldSeedChain(ch, sp, r, opts.Init, qE, lam); err != nil {
 			return nil, err
 		}
 	}
 
-	t, sigma := ws.t, ws.sigma
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := sweepGate(&opts, iter); err != nil {
 			return nil, err
 		}
-		// STEP 2: arrival-instant correction.
-		switch opts.Method {
-		case Schweitzer:
-			for r := 0; r < nCh; r++ {
-				if !active[r] {
-					continue
-				}
-				inv := 1 / float64(net.Chains[r].Population)
-				for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-					i := int(sp.EntStation[e])
-					sigma.Set(i, r, q.At(i, r)*inv)
-				}
-			}
-		default: // SigmaHeuristic
-			if err := sigmaFromSingleChains(ws, net, sp, active, lam, sigma); err != nil {
-				return nil, err
-			}
-		}
-		// STEP 3: queue times t_ir = s_ir (1 + sum_j N_ij - sigma_ir).
-		// The per-station totals do not change within the step, so they
-		// are accumulated once per sweep from the station-major transpose
-		// (chains ascending — the dense summation order) instead of per
-		// (station, chain) pair.
-		totQ := ws.totQ
+		// STEP 3's sum_j N_ij, accumulated once per sweep from the
+		// station-major transpose (chains ascending — the dense summation
+		// order) instead of per (station, chain) pair.
 		for i := 0; i < nSt; i++ {
 			if sp.IsIS[i] {
 				continue
 			}
 			total := 0.0
 			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
-				total += q.At(i, int(sp.StatChain[m]))
+				total += qE[sp.StatEntry[m]]
 			}
 			totQ[i] = total
 		}
-		for r := 0; r < nCh; r++ {
-			if !active[r] {
-				continue
-			}
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				if sp.EntIS[e] {
-					t.Set(i, r, sp.EntServ[e])
-					continue
-				}
-				seen := totQ[i] - sigma.At(i, r)
-				if seen < 0 {
-					seen = 0
-				}
-				t.Set(i, r, sp.EntServ[e]*(1+seen))
-			}
-		}
-		// STEP 4: Little for chains.
-		prev := ws.prev
 		copy(prev, lam)
 		for r := 0; r < nCh; r++ {
 			if !active[r] {
 				continue
 			}
+			lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
+			pop := net.Chains[r].Population
+			// STEP 2: arrival-instant correction.
+			switch opts.Method {
+			case Schweitzer:
+				inv := 1 / float64(pop)
+				for e := lo; e < hi; e++ {
+					sE[e] = qE[e] * inv
+				}
+			default: // SigmaHeuristic
+				if iter == 1 || !ws.sigmaFixed[r] {
+					ws.sigmaFixed[r] = !ws.chainSigma(sp, r, pop, prev)
+				}
+			}
+			// STEPs 3–4: queue times t_ir = s_ir (1 + sum_j N_ij - sigma_ir)
+			// and Little for the chain.
 			denom := 0.0
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				denom += sp.EntVisit[e] * t.At(int(sp.EntStation[e]), r)
+			for e := lo; e < hi; e++ {
+				t := sp.EntServ[e]
+				if !sp.EntIS[e] {
+					seen := totQ[sp.EntStation[e]] - sE[e]
+					if seen < 0 {
+						seen = 0
+					}
+					t = sp.EntServ[e] * (1 + seen)
+				}
+				tE[e] = t
+				denom += sp.EntVisit[e] * t
 			}
-			lam[r] = float64(net.Chains[r].Population) / denom
-		}
-		// STEP 5: Little for queues, with optional damping.
-		for r := 0; r < nCh; r++ {
-			if !active[r] {
-				continue
-			}
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				next := lam[r] * sp.EntVisit[e] * t.At(i, r)
-				q.Set(i, r, opts.Damping*next+(1-opts.Damping)*q.At(i, r))
+			lam[r] = float64(pop) / denom
+			// STEP 5: Little for queues, with optional damping.
+			for e := lo; e < hi; e++ {
+				next := lam[r] * sp.EntVisit[e] * tE[e]
+				qE[e] = opts.Damping*next + (1-opts.Damping)*qE[e]
 			}
 		}
 		// STEP 6: stopping condition.
 		if lam.L2Diff(prev) < opts.Tol {
-			sol.Iterations = iter
-			sol.Solver = opts.Method.String()
-			copy(sol.Throughput, lam)
-			for r := 0; r < nCh; r++ {
-				for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-					i := int(sp.EntStation[e])
-					sol.QueueTime.Set(i, r, t.At(i, r))
-					sol.QueueLen.Set(i, r, q.At(i, r))
-				}
-			}
-			return sol, nil
+			return ws.solution(sp, iter, opts.Method.String()), nil
 		}
 	}
 	return nil, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
 		ErrNotConverged, opts.MaxIter, opts.Method, opts.Tol)
 }
 
+// solution scatters the entry-major state into the workspace's Solution.
+// Every visit-list entry is written, and nothing else is ever non-zero
+// (see Workspace.lastSp).
+func (w *Workspace) solution(sp *qnet.Sparse, iter int, solver string) *Solution {
+	sol := w.sol
+	sol.Iterations = iter
+	sol.Solver = solver
+	copy(sol.Throughput, w.lam)
+	for r := 0; r < sp.NCh; r++ {
+		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
+			i := int(sp.EntStation[e])
+			sol.QueueTime.Set(i, r, w.tE[e])
+			sol.QueueLen.Set(i, r, w.qE[e])
+		}
+	}
+	return sol
+}
+
 // coldSeedChain applies the Init rule (eqs. 4.16–4.17) to chain r and
 // seeds its throughput with population over pure service demand (the APL
 // program's initialisation). A chain with no positive-demand station
 // cannot be placed — the Bottleneck rule used to index q with -1 and
-// panic — so both rules reject it with a validation error.
-func coldSeedChain(ch *qnet.Chain, sp *qnet.Sparse, r int, init Initialization, q *numeric.Matrix, lam numeric.Vector) error {
+// panic — so both rules reject it with a validation error. Every active
+// chain therefore reaches the sweeps with a non-empty route.
+func coldSeedChain(ch *qnet.Chain, sp *qnet.Sparse, r int, init Initialization, qE []float64, lam numeric.Vector) error {
 	lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
 	switch init {
 	case Bottleneck:
-		best, at := -1.0, -1
+		best, at := -1.0, int32(-1)
 		for e := lo; e < hi; e++ {
 			if sp.EntDemand[e] > best {
-				best, at = sp.EntDemand[e], int(sp.EntStation[e])
+				best, at = sp.EntDemand[e], e
 			}
 		}
 		if at < 0 {
 			return fmt.Errorf("mva: chain %d (%s) has no station with positive visits and demand; cannot initialise", r, ch.Name)
 		}
-		q.Set(at, r, float64(ch.Population))
+		qE[at] = float64(ch.Population)
 	default: // Balanced
 		if hi == lo {
 			return fmt.Errorf("mva: chain %d (%s) has no station with positive visits and demand; cannot initialise", r, ch.Name)
 		}
 		share := float64(ch.Population) / float64(hi-lo)
 		for e := lo; e < hi; e++ {
-			q.Set(int(sp.EntStation[e]), r, share)
+			qE[e] = share
 		}
 	}
 	lam[r] = float64(ch.Population) / sp.DemandSum[r]
 	return nil
 }
 
-// sigmaFromSingleChains fills sigma.At(i, r) with the thesis's heuristic
+// chainSigma fills sE over chain r's entries with the thesis's heuristic
 // estimate: isolate chain r into a single-chain network whose service
 // times are inflated by the other chains' utilisation at each station,
 // s'_ri = s_ri / (1 - rho_{-r,i}), run exact single-chain MVA up to E_r,
@@ -369,54 +358,68 @@ func coldSeedChain(ch *qnet.Chain, sp *qnet.Sparse, r int, init Initialization, 
 //
 // The other chains' utilisation at a station is read off the station-major
 // transpose (only the chains actually visiting the station contribute, via
-// the precompiled demand array), and the recursion runs through the
-// workspace's per-chain incremental curve cache: sweeps whose inflated
-// service times are unchanged (always true for single-chain networks,
-// whose sub-problem has no inflation) reuse the cached populations instead
-// of recomputing from 1.
-func sigmaFromSingleChains(ws *Workspace, net *qnet.Network, sp *qnet.Sparse, active []bool, lam numeric.Vector, sigma *numeric.Matrix) error {
-	nCh := sp.NCh
+// the precompiled demand array) at the throughputs lam. The recursion
+// keeps only N(d-1) and N(d). chainSigma reports whether any other chain
+// shares one of chain r's non-IS stations; when none does (every
+// single-chain network), the inflated service times are the raw ones
+// whatever the throughputs, so the σ just computed holds for the whole
+// solve.
+func (w *Workspace) chainSigma(sp *qnet.Sparse, r, pop int, lam numeric.Vector) (shared bool) {
 	const maxRho = 0.999 // clamp: transient iterates can overshoot capacity
-	for r := 0; r < nCh; r++ {
-		if !active[r] {
+	lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
+	deg := int(hi - lo)
+	servInf := w.servInf[:deg]
+	for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
+		// IS stations have a server per customer: other chains occupy
+		// them without delaying anyone, so no inflation.
+		if sp.EntIS[e] {
+			servInf[k] = sp.EntServ[e]
 			continue
 		}
-		lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
-		deg := int(hi - lo)
-		if deg == 0 {
-			return fmt.Errorf("mva: sigma sub-problem for chain %d: chain visits no station", r)
+		i := sp.EntStation[e]
+		other := 0.0
+		for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
+			if j := int(sp.StatChain[m]); j != r {
+				other += lam[j] * sp.EntDemand[sp.StatEntry[m]]
+				shared = true
+			}
 		}
-		servInf := ws.servInf[:deg]
-		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
-			// IS stations have a server per customer: other chains
-			// occupy them without delaying anyone, so no inflation.
-			if sp.EntIS[e] {
-				servInf[k] = sp.EntServ[e]
-				continue
-			}
-			i := sp.EntStation[e]
-			other := 0.0
-			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
-				if j := int(sp.StatChain[m]); j != r {
-					other += lam[j] * sp.EntDemand[sp.StatEntry[m]]
-				}
-			}
-			if other > maxRho {
-				other = maxRho
-			}
-			servInf[k] = sp.EntServ[e] / (1 - other)
+		if other > maxRho {
+			other = maxRho
 		}
-		pop := net.Chains[r].Population
-		nAt, nPrev := ws.curveUpTo(r, sp, servInf, pop)
+		servInf[k] = sp.EntServ[e] / (1 - other)
+	}
+	// The exact single-chain MVA recursion (ExactSingleChain's arithmetic
+	// order) from N(0) = 0; each step stores t_i in nCur and then scales
+	// it into N_i(d) in place.
+	nPrev, nCur := w.nPrev[:deg], w.nCur[:deg]
+	clear(nPrev)
+	for d := 1; d <= pop; d++ {
+		if d > 1 {
+			nPrev, nCur = nCur, nPrev
+		}
+		denom := 0.0
 		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
-			s := nAt[k] - nPrev[k]
-			if s < 0 {
-				s = 0
-			} else if s > 1 {
-				s = 1
+			t := servInf[k]
+			if !sp.EntIS[e] {
+				t = servInf[k] * (1 + nPrev[k])
 			}
-			sigma.Set(int(sp.EntStation[e]), r, s)
+			nCur[k] = t
+			denom += sp.EntVisit[e] * t
+		}
+		l := float64(d) / denom
+		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
+			nCur[k] = l * sp.EntVisit[e] * nCur[k]
 		}
 	}
-	return nil
+	for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
+		s := nCur[k] - nPrev[k]
+		if s < 0 {
+			s = 0
+		} else if s > 1 {
+			s = 1
+		}
+		w.sE[e] = s
+	}
+	return shared
 }

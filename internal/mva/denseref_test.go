@@ -16,8 +16,9 @@ import (
 // denseApproximate is the dense-loop Approximate: every per-chain loop
 // walks all N stations guarded by `Visits[i] == 0`, STEP 3 re-sums all R
 // chains per (station, chain) pair, and the σ sub-problem recursion is
-// recomputed from population 1 each sweep (the curve cache it replaces is
-// bit-faithful, so recomputing changes nothing).
+// recomputed from population 1 each sweep for every chain (production
+// reuses σ only where the inputs cannot change, so recomputing changes
+// nothing).
 func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	if !opts.Prevalidated {
@@ -247,7 +248,7 @@ func denseSigma(net *qnet.Network, active []bool, lam numeric.Vector, sigma *num
 			return fmt.Errorf("mva: sigma sub-problem for chain %d: chain visits no station", r)
 		}
 		// The single-chain recursion from population 1, in the exact
-		// arithmetic order of the production curve cache.
+		// arithmetic order of the production recursion.
 		pop := ch.Population
 		prevQ := numeric.NewVector(nSt)
 		curQ := numeric.NewVector(nSt)
@@ -392,7 +393,7 @@ func denseLinearizer(net *qnet.Network, opts Options) (*Solution, error) {
 	if !warm.matches(nSt, nCh) {
 		warm = nil
 	}
-	var full *coreResult
+	var full *denseCoreResult
 	for sweep := 0; sweep < sweeps; sweep++ {
 		var err error
 		full, err = denseLinearizerCore(net, pop, f, opts, warm)
@@ -402,7 +403,7 @@ func denseLinearizer(net *qnet.Network, opts Options) (*Solution, error) {
 		if sweep == sweeps-1 {
 			break
 		}
-		reduced := make([]*coreResult, nCh)
+		reduced := make([]*denseCoreResult, nCh)
 		for j := 0; j < nCh; j++ {
 			if pop[j] == 0 {
 				continue
@@ -450,9 +451,17 @@ func denseLinearizer(net *qnet.Network, opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-func denseLinearizerCore(net *qnet.Network, pop numeric.IntVector, f [][][]float64, opts Options, warm *WarmStart) (*coreResult, error) {
+// denseCoreResult is the dense [N][R] layout of a Linearizer core's fixed
+// point that the production core now keeps per visit-list entry.
+type denseCoreResult struct {
+	lam        numeric.Vector
+	q, t       *numeric.Matrix
+	iterations int
+}
+
+func denseLinearizerCore(net *qnet.Network, pop numeric.IntVector, f [][][]float64, opts Options, warm *WarmStart) (*denseCoreResult, error) {
 	nSt, nCh := net.N(), net.R()
-	res := &coreResult{
+	res := &denseCoreResult{
 		lam: numeric.NewVector(nCh),
 		q:   numeric.NewMatrix(nSt, nCh),
 		t:   numeric.NewMatrix(nSt, nCh),

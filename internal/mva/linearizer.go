@@ -89,7 +89,8 @@ func Linearizer(net *qnet.Network, opts Options) (*Solution, error) {
 				if pop[r] == 0 {
 					continue
 				}
-				yFull := full.q.At(i, r) / float64(pop[r])
+				ent := sp.StatEntry[m]
+				yFull := full.qE[ent] / float64(pop[r])
 				fm := f[int(m)*nCh : int(m+1)*nCh]
 				for j := 0; j < nCh; j++ {
 					if reduced[j] == nil {
@@ -103,7 +104,7 @@ func Linearizer(net *qnet.Network, opts Options) (*Solution, error) {
 						fm[j] = 0
 						continue
 					}
-					fm[j] = reduced[j].q.At(i, r)/denom - yFull
+					fm[j] = reduced[j].qE[ent]/denom - yFull
 				}
 			}
 		}
@@ -115,16 +116,18 @@ func Linearizer(net *qnet.Network, opts Options) (*Solution, error) {
 	for r := 0; r < nCh; r++ {
 		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
 			i := int(sp.EntStation[e])
-			sol.QueueLen.Set(i, r, full.q.At(i, r))
-			sol.QueueTime.Set(i, r, full.t.At(i, r))
+			sol.QueueLen.Set(i, r, full.qE[e])
+			sol.QueueTime.Set(i, r, full.tE[e])
 		}
 	}
 	return sol, nil
 }
 
+// coreResult is one core's fixed point, its queue lengths and times held
+// per chain-major visit-list entry.
 type coreResult struct {
 	lam        numeric.Vector
-	q, t       *numeric.Matrix
+	qE, tE     []float64
 	iterations int
 }
 
@@ -133,11 +136,11 @@ type coreResult struct {
 //
 //	N_ij(pop - e_r) ≈ (pop_j - δ_jr) * (q_ij/pop_j + F[m(i,j)][r]).
 func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Options, warm *WarmStart) (*coreResult, error) {
-	nSt, nCh := sp.NSt, sp.NCh
+	nCh := sp.NCh
 	res := &coreResult{
 		lam: numeric.NewVector(nCh),
-		q:   numeric.NewMatrix(nSt, nCh),
-		t:   numeric.NewMatrix(nSt, nCh),
+		qE:  make([]float64, sp.Entries()),
+		tE:  make([]float64, sp.Entries()),
 	}
 	if !anyPositive(pop) {
 		return res, nil
@@ -147,13 +150,13 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 		if pop[r] == 0 {
 			continue
 		}
-		if warm != nil && seedChainFromWarm(warm, sp, r, pop[r], res.q, res.lam) {
+		if warm != nil && seedChainFromWarm(warm, sp, r, pop[r], res.qE, res.lam) {
 			continue
 		}
 		lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
 		share := float64(pop[r]) / float64(hi-lo)
 		for e := lo; e < hi; e++ {
-			res.q.Set(int(sp.EntStation[e]), r, share)
+			res.qE[e] = share
 		}
 	}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
@@ -185,7 +188,7 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 						if nj <= 0 {
 							continue
 						}
-						est := res.q.At(i, j)/float64(pop[j]) + f[int(m)*nCh+r]
+						est := res.qE[sp.StatEntry[m]]/float64(pop[j]) + f[int(m)*nCh+r]
 						if est < 0 {
 							est = 0
 						}
@@ -193,7 +196,7 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 					}
 					ti = sp.EntServ[e] * (1 + seen)
 				}
-				res.t.Set(i, r, ti)
+				res.tE[e] = ti
 				denom += sp.EntVisit[e] * ti
 			}
 			res.lam[r] = float64(pop[r]) / denom
@@ -203,9 +206,8 @@ func linearizerCore(sp *qnet.Sparse, pop numeric.IntVector, f []float64, opts Op
 				continue
 			}
 			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				next := res.lam[r] * sp.EntVisit[e] * res.t.At(i, r)
-				res.q.Set(i, r, opts.Damping*next+(1-opts.Damping)*res.q.At(i, r))
+				next := res.lam[r] * sp.EntVisit[e] * res.tE[e]
+				res.qE[e] = opts.Damping*next + (1-opts.Damping)*res.qE[e]
 			}
 		}
 		if res.lam.L2Diff(prev) < opts.Tol {

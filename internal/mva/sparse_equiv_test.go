@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/qnet"
 	"repro/internal/rng"
+	"repro/internal/topo"
 )
 
 // randomNetwork builds a random sparse multichain network: PS and IS
@@ -126,6 +128,78 @@ func TestApproximateSparseDenseBitIdentical(t *testing.T) {
 	}
 	if cases < 100 {
 		t.Fatalf("only %d converged comparison cases; generator too hostile", cases)
+	}
+}
+
+// realShapeModel returns the prevalidated closed model (at all-ones
+// windows) of a generated topology of the shape WINDIM dimensions: "mesh"
+// is topo.Mesh(64,64,32), long routes over a sparse graph; "clos" is
+// topo.Clos(12,6,48), short routes with many co-visiting chains per
+// channel.
+func realShapeModel(t testing.TB, shape string) *qnet.Network {
+	t.Helper()
+	var n *netmodel.Network
+	var err error
+	switch shape {
+	case "mesh":
+		n, err = topo.Mesh(64, 64, 32, topo.GenConfig{Seed: 7})
+	default:
+		n, err = topo.Clos(12, 6, 48, topo.GenConfig{Seed: 7})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := numeric.NewIntVector(len(n.Classes))
+	for i := range ones {
+		ones[i] = 1
+	}
+	model, _, err := n.ClosedModel(ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eff, err := Prevalidate(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eff
+}
+
+// TestApproximateSparseDenseBitIdenticalRealShapes is the dense↔sparse
+// check on the traffic shape the dimensioning path solves: tens of chains
+// with long routes or many co-visitors, windows 1–8, and one workspace
+// driven through a warm-started commit chain the way core.Engine drives
+// it (each solve seeds the next).
+func TestApproximateSparseDenseBitIdenticalRealShapes(t *testing.T) {
+	for _, shape := range []string{"mesh", "clos"} {
+		model := realShapeModel(t, shape)
+		sp := qnet.Compile(model)
+		for _, m := range []Method{SigmaHeuristic, Schweitzer} {
+			for _, damping := range []float64{0, 0.5} {
+				s := rng.New(0x7ea1)
+				ws := NewWorkspace()
+				var warm *WarmStart
+				for step := 0; step < 4; step++ {
+					pops := numeric.NewIntVector(model.R())
+					for r := range pops {
+						pops[r] = 1 + s.Intn(8)
+					}
+					cand, err := model.WithPopulations(pops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := Options{Method: m, Damping: damping, Warm: warm, Prevalidated: true}
+					dense, derr := denseApproximate(cand, opts)
+					opts.Workspace, opts.Sparse = ws, sp
+					sparse, serr := Approximate(cand, opts)
+					tag := fmt.Sprintf("%s %v damping=%v step %d", shape, m, damping, step)
+					if derr != nil || serr != nil {
+						t.Fatalf("%s: dense err %v, sparse err %v", tag, derr, serr)
+					}
+					solutionsBitIdentical(t, tag, dense, sparse)
+					warm = WarmFromSolution(sparse)
+				}
+			}
+		}
 	}
 }
 

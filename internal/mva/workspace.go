@@ -54,28 +54,29 @@ func (w *WarmStart) matches(nSt, nCh int) bool {
 // allocations. A workspace is NOT safe for concurrent use; concurrent
 // evaluators (core.Engine's pool) hold one workspace each.
 //
-// Reusing a workspace never changes results: the buffers are reset per
-// call and the incremental σ-curve cache only short-circuits recursions
-// whose inputs are bit-identical, so a workspace-backed run reproduces the
+// Reusing a workspace never changes results: all per-call state is reset
+// at the start of each call, so a workspace-backed run reproduces the
 // workspace-free run exactly.
 type Workspace struct {
 	nSt, nCh int
 
 	active []bool
-	q      *numeric.Matrix
-	t      *numeric.Matrix
-	sigma  *numeric.Matrix
 	lam    numeric.Vector
 	prev   numeric.Vector
 	totQ   numeric.Vector
 
-	// σ sub-problem scratch, indexed per visit-list entry (so at most nSt
-	// long per chain).
-	servInf numeric.Vector
-	scT     numeric.Vector
-	scZero  numeric.Vector // never written; N(0) of the recursion
+	// Fixed-point state per visit-list entry of the compiled view: qE[e],
+	// tE[e] and sE[e] are the queue length, queue time and arrival-instant
+	// correction σ of entry e's (chain, station) pair.
+	qE, tE, sE []float64
+	// sigmaFixed[r] marks a chain whose σ, computed on the first sweep,
+	// holds for the whole solve (see chainSigma).
+	sigmaFixed []bool
 
-	curves []chainCurve
+	// σ sub-problem scratch, indexed by position along one chain's route
+	// (so at most nSt long): the inflated service times and the rolling
+	// N(d-1), N(d) queue-length vectors of the single-chain recursion.
+	servInf, nPrev, nCur numeric.Vector
 
 	// compiledSp caches the sparse view Approximate compiles when the
 	// caller supplies none; keyed by backing-array identity
@@ -83,10 +84,10 @@ type Workspace struct {
 	// hot path when no Options.Sparse is threaded through — stays
 	// allocation-free.
 	compiledSp *qnet.Sparse
-	// lastSp is the compiled view of the previous call. While it is
-	// unchanged, per-call clearing touches only the visit-list support;
-	// when it changes, everything is cleared densely and the σ curves are
-	// dropped (their cached vectors are laid out per entry).
+	// lastSp is the compiled view of the previous call. The entry arrays
+	// are laid out for it, and sol's dense matrices are non-zero only on
+	// its visit lists, which every converged call overwrites; a new view
+	// re-lays the arrays and clears sol.
 	lastSp *qnet.Sparse
 
 	// sol is returned by workspace-backed Approximate calls; it is valid
@@ -94,46 +95,25 @@ type Workspace struct {
 	sol *Solution
 }
 
-// chainCurve caches the exact single-chain recursion of one chain's σ
-// sub-problem (eq. 4.12): q[d-1] is the queue-length vector at population
-// d, valid for the stored inflated service times. Vectors are indexed per
-// visit-list entry (length = the chain's route length, not the station
-// count). When a sweep re-solves the sub-problem with bit-identical
-// inflated service times — every sweep in a single-chain network, and the
-// stabilised tail of any fixed point — the cached prefix is reused and
-// only missing populations are extended. Extension reproduces the
-// from-scratch recursion bit for bit, so the cache is purely a time
-// optimisation.
-type chainCurve struct {
-	valid   bool
-	deg     int // entry count the cached vectors are laid out for
-	servInf []float64
-	n       int         // populations 1..n are valid
-	q       [][]float64 // backing buffers, reused across invalidations
-}
-
 // NewWorkspace returns an empty workspace; buffers are sized lazily from
 // the first network solved with it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// ensure sizes the buffers for an nSt-station, nCh-chain network,
-// reallocating only on dimension change.
+// ensure sizes the per-station and per-chain buffers for an nSt-station,
+// nCh-chain network, reallocating only on dimension change.
 func (w *Workspace) ensure(nSt, nCh int) {
 	if w.nSt == nSt && w.nCh == nCh {
 		return
 	}
 	w.nSt, w.nCh = nSt, nCh
 	w.active = make([]bool, nCh)
-	w.q = numeric.NewMatrix(nSt, nCh)
-	w.t = numeric.NewMatrix(nSt, nCh)
-	w.sigma = numeric.NewMatrix(nSt, nCh)
+	w.sigmaFixed = make([]bool, nCh)
 	w.lam = numeric.NewVector(nCh)
 	w.prev = numeric.NewVector(nCh)
 	w.totQ = numeric.NewVector(nSt)
 	w.servInf = numeric.NewVector(nSt)
-	w.scT = numeric.NewVector(nSt)
-	w.scZero = numeric.NewVector(nSt)
-	w.curves = make([]chainCurve, nCh)
+	w.nPrev = numeric.NewVector(nSt)
+	w.nCur = numeric.NewVector(nSt)
 	w.compiledSp = nil
 	w.lastSp = nil
 	w.sol = newSolution(nSt, nCh)
@@ -153,115 +133,30 @@ func (w *Workspace) compiled(net *qnet.Network, sp *qnet.Sparse) *qnet.Sparse {
 	return w.compiledSp
 }
 
-// reset clears the per-call numeric state (the curve cache survives: its
-// hits are input-keyed and bit-faithful, see chainCurve). With the same
-// compiled view as the previous call, only the visit-list support is
-// cleared — everything off-support is already zero and stays zero, which
-// is what keeps the reset O(route lengths) instead of O(stations×chains).
+// reset clears the per-call state in O(route lengths): the entry arrays
+// and the throughputs. Only a change of compiled view touches the dense
+// solution matrices.
 func (w *Workspace) reset(sp *qnet.Sparse) {
 	if sp != w.lastSp {
 		w.lastSp = sp
-		w.q.Zero()
-		w.t.Zero()
+		n := sp.Entries()
+		w.qE = make([]float64, n)
+		w.tE = make([]float64, n)
+		w.sE = make([]float64, n)
 		w.sol.QueueLen.Zero()
 		w.sol.QueueTime.Zero()
-		for r := range w.curves {
-			w.curves[r].valid = false
-		}
-	} else {
-		for r := 0; r < sp.NCh; r++ {
-			for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
-				i := int(sp.EntStation[e])
-				w.q.Set(i, r, 0)
-				w.t.Set(i, r, 0)
-				w.sol.QueueLen.Set(i, r, 0)
-				w.sol.QueueTime.Set(i, r, 0)
-			}
-		}
 	}
+	clear(w.qE)
+	clear(w.tE)
 	w.lam.Zero()
-	w.sol.Throughput.Zero()
-	w.sol.Iterations = 0
-}
-
-// curveUpTo returns the σ sub-problem's mean queue lengths at populations
-// pop and pop-1 for chain r, extending or rebuilding the cached recursion
-// as needed. servInf holds the inflated service times per visit-list entry
-// of chain r; the returned vectors are per-entry and alias workspace
-// storage.
-func (w *Workspace) curveUpTo(r int, sp *qnet.Sparse, servInf []float64, pop int) (nAt, nPrev []float64) {
-	c := &w.curves[r]
-	deg := len(servInf)
-	if c.deg != deg {
-		c.deg = deg
-		c.q = nil
-		c.valid = false
-	}
-	if !c.valid || !floatsEqual(c.servInf, servInf) {
-		c.valid = true
-		if len(c.servInf) != deg {
-			c.servInf = make([]float64, deg)
-		}
-		copy(c.servInf, servInf)
-		c.n = 0
-	}
-	lo := sp.ChainPtr[r]
-	for d := c.n + 1; d <= pop; d++ {
-		if len(c.q) < d {
-			c.q = append(c.q, make([]float64, deg))
-		}
-		prev := w.scZero[:deg]
-		if d > 1 {
-			prev = c.q[d-2]
-		}
-		// The exact single-chain MVA step, in ExactSingleChain's exact
-		// arithmetic order so cached and uncached runs agree bitwise.
-		t := w.scT[:deg]
-		denom := 0.0
-		for k := 0; k < deg; k++ {
-			e := lo + int32(k)
-			if sp.EntIS[e] {
-				t[k] = c.servInf[k]
-			} else {
-				t[k] = c.servInf[k] * (1 + prev[k])
-			}
-			denom += sp.EntVisit[e] * t[k]
-		}
-		lam := float64(d) / denom
-		q := c.q[d-1]
-		for k := 0; k < deg; k++ {
-			q[k] = lam * sp.EntVisit[lo+int32(k)] * t[k]
-		}
-	}
-	if pop > c.n {
-		c.n = pop
-	}
-	nAt = c.q[pop-1]
-	nPrev = w.scZero[:deg]
-	if pop > 1 {
-		nPrev = c.q[pop-2]
-	}
-	return nAt, nPrev
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // seedChainFromWarm seeds chain r's STEP-1 state from a warm start,
 // rescaling the queue-length column (its mass at the chain's visited
 // stations) to the chain's current population. It reports false (leaving
-// q and lam untouched) when the warm column is degenerate, so the caller
+// qE and lam untouched) when the warm column is degenerate, so the caller
 // can fall back to the cold initialisation.
-func seedChainFromWarm(warm *WarmStart, sp *qnet.Sparse, r, pop int, q *numeric.Matrix, lam numeric.Vector) bool {
+func seedChainFromWarm(warm *WarmStart, sp *qnet.Sparse, r, pop int, qE []float64, lam numeric.Vector) bool {
 	lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
 	colSum := 0.0
 	for e := lo; e < hi; e++ {
@@ -273,8 +168,7 @@ func seedChainFromWarm(warm *WarmStart, sp *qnet.Sparse, r, pop int, q *numeric.
 	}
 	scale := float64(pop) / colSum
 	for e := lo; e < hi; e++ {
-		i := int(sp.EntStation[e])
-		q.Set(i, r, warm.QueueLen.At(i, r)*scale)
+		qE[e] = warm.QueueLen.At(int(sp.EntStation[e]), r) * scale
 	}
 	lam[r] = wl
 	return true

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/numeric"
 	"repro/internal/qnet"
 )
 
@@ -172,7 +173,7 @@ func TestApproximateSteadyStateAllocs(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	opts := Options{Workspace: ws, Prevalidated: true}
-	// Prime the workspace (sizes buffers, fills the curve cache).
+	// Prime the workspace (sizes its buffers for this network).
 	if _, err := Approximate(eff, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +182,55 @@ func TestApproximateSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The σ curve cache may extend a vector on a fresh population mix;
-	// steady state on a fixed candidate must be allocation-free.
 	if allocs > 0 {
 		t.Errorf("steady-state Approximate allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestApproximateSteadyStateAllocsMesh is the zero-allocation guard on the
+// shape the engine solves: a 32-chain mesh closed model, warm-seeded, with
+// two candidate window vectors alternating through one workspace (pattern
+// search probes neighbours of one base point between commits).
+func TestApproximateSteadyStateAllocsMesh(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	model := realShapeModel(t, "mesh")
+	a, b := numeric.NewIntVector(model.R()), numeric.NewIntVector(model.R())
+	for r := range a {
+		a[r], b[r] = 3, 3
+	}
+	b[0], b[5] = 4, 2
+	candA, err := model.WithPopulations(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candB, err := model.WithPopulations(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := Approximate(candA, Options{Prevalidated: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Workspace:    NewWorkspace(),
+		Sparse:       qnet.Compile(model),
+		Warm:         WarmFromSolution(seed),
+		Prevalidated: true,
+	}
+	if _, err := Approximate(candB, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, cand := range []*qnet.Network{candA, candB} {
+			if _, err := Approximate(cand, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state Approximate on the mesh allocates %v times per pair of calls, want 0", allocs)
 	}
 }
 

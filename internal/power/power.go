@@ -8,6 +8,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mva"
 	"repro/internal/qnet"
@@ -37,21 +38,72 @@ type Metrics struct {
 // path (source queue, acknowledgement station) left out of the network
 // delay; a nil entry counts every station as network.
 func FromSolution(net *qnet.Network, sol *mva.Solution, excluded [][]int) (*Metrics, error) {
-	m := &Metrics{}
-	if err := FromSolutionInto(m, net, sol, excluded); err != nil {
-		return nil, err
+	if len(excluded) != net.R() {
+		return nil, fmt.Errorf("power: %d exclusion lists for %d chains", len(excluded), net.R())
 	}
+	m := &Metrics{}
+	m.size(net.R())
+	for r := range m.ClassDelay {
+		n := 0.0
+		for i := 0; i < net.N(); i++ {
+			if !slices.Contains(excluded[r], i) {
+				n += sol.QueueLen.At(i, r)
+			}
+		}
+		m.ClassDelay[r] = n
+	}
+	m.finish(sol.Throughput)
 	return m, nil
 }
 
-// FromSolutionInto is FromSolution writing into a caller-owned Metrics,
-// reusing its slices when they are large enough — the zero-allocation path
-// core.Engine takes for every search candidate.
-func FromSolutionInto(m *Metrics, net *qnet.Network, sol *mva.Solution, excluded [][]int) error {
+// Routes is the compiled network-delay support of a closed-chain model:
+// per chain, the stations it visits minus its excluded sink→source
+// stations, in ascending station order. core.Engine builds it once and
+// derives every candidate's metrics from it in O(route length).
+type Routes struct {
+	// Chain r's stations are station[ptr[r]:ptr[r+1]].
+	ptr     []int32
+	station []int32
+}
+
+// NewRoutes compiles the network-delay routes of net under the exclusion
+// lists FromSolution takes.
+func NewRoutes(net *qnet.Network, excluded [][]int) (*Routes, error) {
 	if len(excluded) != net.R() {
-		return fmt.Errorf("power: %d exclusion lists for %d chains", len(excluded), net.R())
+		return nil, fmt.Errorf("power: %d exclusion lists for %d chains", len(excluded), net.R())
 	}
-	nCh := net.R()
+	rt := &Routes{ptr: make([]int32, net.R()+1)}
+	for r := range net.Chains {
+		for i, v := range net.Chains[r].Visits {
+			if v > 0 && !slices.Contains(excluded[r], i) {
+				rt.station = append(rt.station, int32(i))
+			}
+		}
+		rt.ptr[r+1] = int32(len(rt.station))
+	}
+	return rt, nil
+}
+
+// MetricsInto is FromSolution over the compiled routes, writing into a
+// caller-owned Metrics and reusing its slices when they are large enough
+// — the zero-allocation path core.Engine takes for every search
+// candidate. The result is bit-identical to FromSolution's: the stations
+// it skips are off the chain's visit list, where every solver leaves the
+// queue length at exactly 0, and adding 0 changes no sum.
+func (rt *Routes) MetricsInto(m *Metrics, sol *mva.Solution) {
+	m.size(len(rt.ptr) - 1)
+	for r := range m.ClassDelay {
+		n := 0.0
+		for _, i := range rt.station[rt.ptr[r]:rt.ptr[r+1]] {
+			n += sol.QueueLen.At(int(i), r)
+		}
+		m.ClassDelay[r] = n
+	}
+	m.finish(sol.Throughput)
+}
+
+// size gives m nCh-long class slices, reusing them when large enough.
+func (m *Metrics) size(nCh int) {
 	if cap(m.ClassThroughput) >= nCh && cap(m.ClassDelay) >= nCh {
 		m.ClassThroughput = m.ClassThroughput[:nCh]
 		m.ClassDelay = m.ClassDelay[:nCh]
@@ -59,30 +111,21 @@ func FromSolutionInto(m *Metrics, net *qnet.Network, sol *mva.Solution, excluded
 		m.ClassThroughput = make([]float64, nCh)
 		m.ClassDelay = make([]float64, nCh)
 	}
+}
+
+// finish turns the per-class network queue lengths staged in ClassDelay
+// into the metrics, given the chain throughputs.
+func (m *Metrics) finish(lam []float64) {
 	m.Throughput, m.Delay, m.Power = 0, 0, 0
 	totalN := 0.0
-	for r := 0; r < nCh; r++ {
-		lam := sol.Throughput[r]
-		m.ClassThroughput[r] = lam
-		m.Throughput += lam
-		n := 0.0
-		for i := 0; i < net.N(); i++ {
-			skip := false
-			for _, e := range excluded[r] {
-				if i == e {
-					skip = true
-					break
-				}
-			}
-			if skip {
-				continue
-			}
-			n += sol.QueueLen.At(i, r)
-		}
+	for r, l := range lam {
+		n := m.ClassDelay[r]
+		m.ClassThroughput[r] = l
+		m.Throughput += l
 		totalN += n
 		m.ClassDelay[r] = 0
-		if lam > 0 {
-			m.ClassDelay[r] = n / lam
+		if l > 0 {
+			m.ClassDelay[r] = n / l
 		}
 	}
 	if m.Throughput > 0 {
@@ -91,7 +134,6 @@ func FromSolutionInto(m *Metrics, net *qnet.Network, sol *mva.Solution, excluded
 	if m.Delay > 0 {
 		m.Power = m.Throughput / m.Delay
 	}
-	return nil
 }
 
 // Objective returns the WINDIM objective F = 1/P = Delay/Throughput, with
