@@ -79,7 +79,6 @@ func searchCheckpointing(n *netmodel.Network, opts Options, scenarios []Scenario
 		ckpt = &pattern.CheckpointOptions{
 			Path:      opts.CheckpointPath,
 			Every:     opts.CheckpointEvery,
-			FullEvery: opts.CheckpointFullEvery,
 			ModelHash: hash,
 		}
 	}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
 	"repro/internal/topo"
@@ -92,65 +94,69 @@ func TestDimensionCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDimensionResumeRejectsMismatch: a checkpoint written for different
-// options or a different network must not seed a resume.
-// TestDimensionCheckpointFullEvery: the delta cadence plumbs through to
-// the pattern layer — the sidecar appears during the run, the resumed
-// search is bit-identical, and a finished run retires the sidecar.
-// (Cancellation writes a final FULL snapshot, so crash-resume through the
-// snapshot+delta merge itself is covered at the pattern layer, where a
-// hard objective failure can be injected.)
-func TestDimensionCheckpointFullEvery(t *testing.T) {
+// TestDimensionCheckpointCrashResume: a per-commit checkpoint read off
+// disk at any commit — the image a kill -9 at that instant leaves, last
+// compaction plus appended records — resumes through core to the
+// bit-identical result. (Cancellation compacts to a single final line, so
+// crash images are taken from a run that is left to finish.)
+func TestDimensionCheckpointCrashResume(t *testing.T) {
 	n := topo.Canada2Class(20, 20)
 	far := func() Options {
 		return Options{
-			InitialWindows:      numeric.IntVector{16, 16},
-			InitialStep:         numeric.IntVector{4, 4},
-			CheckpointFullEvery: 4,
+			InitialWindows: numeric.IntVector{16, 16},
+			InitialStep:    numeric.IntVector{4, 4},
 		}
 	}
-	ref, err := Dimension(n, Options{
-		InitialWindows: numeric.IntVector{16, 16},
-		InitialStep:    numeric.IntVector{4, 4},
-	})
+	ref, err := Dimension(n, far())
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "windim.ckpt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "windim.ckpt")
+	var images [][]byte
 	opts := far()
 	opts.CheckpointPath = path
-	sidecarSeen := false
-	cancelAfterCommits(2, &opts)
-	inner := opts.OnCommit
-	opts.OnCommit = func(x numeric.IntVector, fx float64) {
-		if _, err := os.Stat(path + ".delta"); err == nil {
-			sidecarSeen = true
+	opts.OnCommit = func(numeric.IntVector, float64) {
+		if data, err := os.ReadFile(path); err == nil {
+			images = append(images, data)
 		}
-		inner(x, fx)
 	}
-	if _, err := Dimension(n, opts); err == nil {
-		t.Fatal("cancelled run returned nil error")
-	}
-	if !sidecarSeen {
-		t.Error("delta sidecar never appeared during the run")
-	}
-	ropts := far()
-	ropts.CheckpointPath = path // keep checkpointing: the finished run must retire the sidecar
-	ropts.ResumePath = path
-	resumed, err := Dimension(n, ropts)
-	if err != nil {
+	if _, err := Dimension(n, opts); err != nil {
 		t.Fatal(err)
 	}
-	if !resumed.Windows.Equal(ref.Windows) ||
-		math.Float64bits(resumed.Search.BestValue) != math.Float64bits(ref.Search.BestValue) {
-		t.Errorf("resumed windows %v (%v), uninterrupted %v (%v)",
-			resumed.Windows, resumed.Search.BestValue, ref.Windows, ref.Search.BestValue)
+	withRecords := 0
+	for i, image := range images {
+		if _, records, _ := durable.ReadLog(image); len(records) > 0 {
+			withRecords++
+		}
+		crashed := filepath.Join(dir, fmt.Sprintf("crash%d.ckpt", i))
+		if err := os.WriteFile(crashed, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ropts := far()
+		ropts.Workers = 1 + 7*(i%2)
+		ropts.ResumePath = crashed
+		resumed, err := Dimension(n, ropts)
+		if err != nil {
+			t.Fatalf("image %d: resume: %v", i, err)
+		}
+		if !resumed.Windows.Equal(ref.Windows) ||
+			math.Float64bits(resumed.Search.BestValue) != math.Float64bits(ref.Search.BestValue) ||
+			math.Float64bits(resumed.Metrics.Power) != math.Float64bits(ref.Metrics.Power) {
+			t.Errorf("image %d: resumed windows %v (%v), uninterrupted %v (%v)",
+				i, resumed.Windows, resumed.Search.BestValue, ref.Windows, ref.Search.BestValue)
+		}
+		if resumed.Search.Evaluations >= ref.Search.Evaluations {
+			t.Errorf("image %d: resume spent %d evaluations, uninterrupted %d", i, resumed.Search.Evaluations, ref.Search.Evaluations)
+		}
 	}
-	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
-		t.Errorf("sidecar survived normal termination (stat err %v)", err)
+	if withRecords == 0 {
+		t.Fatalf("none of %d crash images carried appended records; the log replay is not exercised", len(images))
 	}
 }
 
+// TestDimensionResumeRejectsMismatch: a checkpoint written for different
+// options or a different network must not seed a resume.
 func TestDimensionResumeRejectsMismatch(t *testing.T) {
 	n := topo.Canada2Class(20, 20)
 	path := filepath.Join(t.TempDir(), "windim.ckpt")

@@ -201,19 +201,13 @@ type Options struct {
 	EvalTimeout time.Duration
 	// CheckpointPath, when non-empty, makes the pattern search durable:
 	// its state (memo cache, best point, step, per-scenario progress for
-	// DimensionRobust) is written atomically to this file every
-	// CheckpointEvery commits (<= 0: every commit) and at termination or
-	// cancellation. Only PatternSearch supports checkpoints.
+	// DimensionRobust) is kept in this append-only checkpoint log (see
+	// pattern.CheckpointOptions) every CheckpointEvery commits (<= 0: every
+	// commit) and compacted at termination or cancellation. Only
+	// PatternSearch supports checkpoints.
 	CheckpointPath string
 	// CheckpointEvery is the commit cadence of checkpoint writes.
 	CheckpointEvery int
-	// CheckpointFullEvery spaces full snapshots among the durable writes:
-	// writes between them append compact delta records (only the memo-cache
-	// entries learned since the previous write) to CheckpointPath+".delta",
-	// making a per-commit cadence near-free on long searches. Resume reads
-	// snapshot + sidecar transparently. <= 1 writes a full snapshot every
-	// time (the historical behaviour).
-	CheckpointFullEvery int
 	// ResumePath, when non-empty, resumes from a checkpoint written by a
 	// previous run of the SAME model and options: the memo cache is
 	// preloaded and the search replays its trajectory out of it (warm

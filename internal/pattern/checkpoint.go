@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // CheckpointVersion is the format version this package writes; Load
@@ -18,14 +19,6 @@ const CheckpointVersion = 1
 // checkpointKind tags the file so other tools (and humans) can tell what
 // produced it.
 const checkpointKind = "pattern-search"
-
-// deltaKind tags the append-only sidecar holding incremental records
-// between full snapshots; deltaSuffix is appended to CheckpointOptions.Path
-// to name it.
-const (
-	deltaKind   = "pattern-search-delta"
-	deltaSuffix = ".delta"
-)
 
 // JSONFloat is a float64 whose JSON form round-trips bit-exactly,
 // including the non-finite values encoding/json rejects: finite values use
@@ -76,8 +69,9 @@ func (f *JSONFloat) UnmarshalJSON(b []byte) error {
 }
 
 // Checkpoint is the durable state of a pattern search: a versioned,
-// self-describing snapshot written atomically on a commit cadence and fed
-// back through Options.Resume after a crash, kill or deadline.
+// self-describing snapshot kept durable on a commit cadence (see
+// CheckpointOptions) and fed back through Options.Resume after a crash,
+// kill or deadline.
 //
 // The load-bearing field is Visited — the full memo cache (FLOC/FSTR table)
 // at snapshot time. Resume does not fast-forward to Best: it preloads the
@@ -124,51 +118,37 @@ type Checkpoint struct {
 }
 
 // CheckpointOptions configures durable checkpointing of a Search run.
+//
+// The checkpoint is one append-only log (internal/durable). Its header
+// line is a full Checkpoint; each later durable write appends one record
+// carrying only the memo-cache entries learned since the previous write,
+// so a per-commit cadence costs O(new entries) rather than re-serialising
+// an ever-growing cache. A write whose record would push the bytes
+// appended since the last compaction past the compacted size compacts
+// instead: the whole state is republished as a single header line, which
+// keeps the file within twice its compacted size at amortised O(1) cost
+// per appended byte. Termination and cancellation always compact.
 type CheckpointOptions struct {
-	// Path is the checkpoint file; writes go to a temp file in the same
-	// directory followed by an atomic rename, so a reader (or a resumed
-	// run) never observes a partially written checkpoint.
+	// Path is the checkpoint file. Compactions publish it by atomic
+	// rename, so a reader (or a resumed run) never observes a partially
+	// written header; a crash mid-append tears at most the final record,
+	// which LoadCheckpoint drops.
 	Path string
-	// Every is the commit cadence: a snapshot is written every Every-th
+	// Every is the commit cadence: a durable write happens every Every-th
 	// committed base point (<= 0 means every commit). Termination and
-	// cancellation always write a final snapshot regardless of cadence.
+	// cancellation always write regardless of cadence.
 	Every int
 	// ModelHash is stamped into every snapshot (see Checkpoint.ModelHash).
 	ModelHash string
-	// FullEvery spaces FULL snapshots among the durable writes: every
-	// FullEvery-th durable write re-serialises the whole state; the writes
-	// between append one compact delta record — only the memo-cache entries
-	// learned since the previous durable write — to the sidecar file
-	// Path+".delta". A full snapshot costs O(|Visited|) per write, so a
-	// per-commit cadence (Every = 1) on a long search rewrites an
-	// ever-growing cache every commit; with deltas the same cadence costs
-	// O(new entries), which is near-free. LoadCheckpoint replays snapshot +
-	// sidecar transparently, so resume semantics are unchanged; a torn
-	// final record (crash mid-append) is dropped, losing at most that one
-	// delta. Termination and cancellation always write a full snapshot.
-	// <= 1 means every durable write is a full snapshot and no sidecar is
-	// kept (the historical behaviour).
-	FullEvery int
-	// Aux, when non-nil, is called at snapshot time (serially, never
-	// concurrent with objective evaluations) to capture caller state.
+	// Aux, when non-nil, is called once per durable write (serially, never
+	// concurrent with objective evaluations) to capture caller state; every
+	// record carries it, so a resume restores the value of the last write.
 	Aux func() json.RawMessage
-}
-
-// deltaHeader is the first line of a delta sidecar. BaseCommits ties the
-// records to the full snapshot they extend: a sidecar whose BaseCommits
-// does not equal the snapshot's Commits is stale (e.g. a crash landed
-// between a snapshot rename and the sidecar reset) and is ignored whole.
-type deltaHeader struct {
-	Version     int    `json:"version"`
-	Kind        string `json:"kind"`
-	ModelHash   string `json:"model_hash,omitempty"`
-	Dim         int    `json:"dim"`
-	BaseCommits int    `json:"base_commits"`
 }
 
 // deltaRecord is one appended line: the state advance of a single durable
 // write. Visited carries only the cache entries added since the previous
-// durable write; the scalar fields mirror the snapshot's for inspection.
+// durable write; the other fields mirror the snapshot's.
 type deltaRecord struct {
 	Commit      int                  `json:"commit"`
 	Best        []int                `json:"best,omitempty"`
@@ -177,81 +157,50 @@ type deltaRecord struct {
 	Halvings    int                  `json:"halvings,omitempty"`
 	Evaluations int                  `json:"evaluations,omitempty"`
 	Visited     map[string]JSONFloat `json:"visited,omitempty"`
+	Aux         json.RawMessage      `json:"aux,omitempty"`
 }
 
-// LoadCheckpoint reads and validates a checkpoint file, then folds in any
-// delta sidecar (path+".delta") written since the snapshot: records are
-// replayed in append order, so the returned Checkpoint is equivalent to
-// the full snapshot a FullEvery = 1 run would have written at the last
-// durable write. A stale sidecar (left by a crash, or belonging to an
-// older snapshot) is detected by its header and ignored.
+// LoadCheckpoint reads and validates a checkpoint log: the header is a
+// full snapshot (a file written whole by Save, or by an older binary, is
+// just a header; a ".delta" sidecar such a binary may have left beside it
+// is never read), and the records after it are replayed in append order,
+// so the result is the state of the last durable write. A torn final
+// record (crash mid-append) is dropped; corruption anywhere earlier is an
+// error.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	cp, err := ParseCheckpoint(data)
-	if err != nil {
-		return nil, fmt.Errorf("pattern: checkpoint %s: %w", path, err)
+	header, records, _ := durable.ReadLog(data)
+	cp, err := ParseCheckpoint(header)
+	if err == nil {
+		err = cp.apply(records)
 	}
-	if err := cp.mergeDeltas(path + deltaSuffix); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("pattern: checkpoint %s: %w", path, err)
 	}
 	return cp, nil
 }
 
-// mergeDeltas applies the sidecar at path to cp. A missing sidecar, a torn
-// header, or a header that does not match cp (different model hash or base
-// commit count — a stale file) leave cp untouched. A torn FINAL record is
-// dropped: the append protocol fsyncs line by line, so only the last line
-// can be incomplete; corruption anywhere earlier is a real error.
-func (cp *Checkpoint) mergeDeltas(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("reading delta sidecar: %w", err)
-	}
-	lines := strings.Split(string(data), "\n")
-	// A trailing newline (the normal case) yields one empty final element.
-	for len(lines) > 0 && lines[len(lines)-1] == "" {
-		lines = lines[:len(lines)-1]
-	}
-	if len(lines) == 0 {
-		return nil
-	}
-	var hdr deltaHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		// Crash mid-header-write: the sidecar carries nothing yet.
-		return nil
-	}
-	if hdr.Kind != deltaKind || hdr.Version != CheckpointVersion ||
-		hdr.ModelHash != cp.ModelHash || hdr.BaseCommits != cp.Commits {
-		return nil
-	}
-	if hdr.Dim != cp.Dim {
-		return fmt.Errorf("delta sidecar dimension %d does not match snapshot dimension %d", hdr.Dim, cp.Dim)
-	}
-	if cp.Visited == nil {
+// apply folds appended delta records into the snapshot cp.
+func (cp *Checkpoint) apply(records [][]byte) error {
+	if len(records) > 0 && cp.Visited == nil {
 		cp.Visited = make(map[string]JSONFloat)
 	}
-	for i, line := range lines[1:] {
+	for i, line := range records {
 		var rec deltaRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			if i == len(lines)-2 {
-				return nil // torn final append — lose that one delta
-			}
-			return fmt.Errorf("delta record %d corrupt: %w", i+1, err)
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return fmt.Errorf("checkpoint record %d corrupt: %w", i+1, err)
 		}
 		for _, v := range [][]int{rec.Best, rec.Step} {
 			if v != nil && len(v) != cp.Dim {
-				return fmt.Errorf("delta record %d vector length %d does not match dimension %d", i+1, len(v), cp.Dim)
+				return fmt.Errorf("checkpoint record %d vector length %d does not match dimension %d", i+1, len(v), cp.Dim)
 			}
 		}
 		for k, v := range rec.Visited {
 			if !ValidPointKey(k, cp.Dim) {
-				return fmt.Errorf("delta record %d visited key %q is not a %d-dimensional lattice point", i+1, k, cp.Dim)
+				return fmt.Errorf("checkpoint record %d visited key %q is not a %d-dimensional lattice point", i+1, k, cp.Dim)
 			}
 			cp.Visited[k] = v
 		}
@@ -266,6 +215,9 @@ func (cp *Checkpoint) mergeDeltas(path string) error {
 			}
 			cp.Halvings = rec.Halvings
 			cp.Evaluations = rec.Evaluations
+			if rec.Aux != nil {
+				cp.Aux = rec.Aux
+			}
 		}
 	}
 	return nil
@@ -319,77 +271,21 @@ func ValidPointKey(k string, dim int) bool {
 	return true
 }
 
-// Save writes the checkpoint atomically: marshal, write to a temp file in
-// the destination directory, fsync, rename. A crash at any instant leaves
-// either the previous complete checkpoint or the new complete one on disk
-// — never a torn file.
+// Save writes the checkpoint atomically as a single snapshot line (a
+// checkpoint log with no records). A crash at any instant leaves either
+// the previous complete checkpoint or the new complete one on disk.
 func (cp *Checkpoint) Save(path string) error {
 	data, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("pattern: marshal checkpoint: %w", err)
 	}
-	return WriteDurable(path, data)
-}
-
-// WriteDurable publishes data at path atomically and durably: write to a
-// temp file in the destination directory, fsync, rename, fsync the
-// directory. A crash at any instant leaves either the previous complete
-// file or the new complete one on disk — never a torn write. Shared by
-// every durable artifact in the repository that is replaced wholesale
-// (checkpoints here, the sharded search's manifests and slab results).
-func WriteDurable(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("pattern: durable temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(fmt.Errorf("pattern: durable write: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("pattern: durable sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("pattern: durable close: %w", err))
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("pattern: durable publish: %w", err)
-	}
-	// The rename is durable only once the directory entry is: without the
-	// directory sync a crash immediately after the write can roll the file
-	// back to the previous version — or, for a first write, to nothing.
-	if err := SyncDir(dir); err != nil {
-		return fmt.Errorf("pattern: sync durable directory: %w", err)
-	}
-	return nil
-}
-
-// SyncDir fsyncs a directory, making previously renamed or created entries
-// in it durable. Shared with the windimd job journal, which uses the same
-// temp+fsync+rename+dirsync protocol for its spool records.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return durable.WriteFile(path, data)
 }
 
 // snapshot builds the current checkpoint state. Called only from commit
 // points and termination, where the pass barrier guarantees no objective
 // evaluation (and hence no cache mutation) is in flight.
-func (s *searcher) snapshot(done bool) *Checkpoint {
+func (s *searcher) snapshot(done bool, aux json.RawMessage) *Checkpoint {
 	cp := &Checkpoint{
 		Version:     CheckpointVersion,
 		Kind:        checkpointKind,
@@ -404,21 +300,19 @@ func (s *searcher) snapshot(done bool) *Checkpoint {
 		Evaluations: s.result.Evaluations,
 		Done:        done,
 		Visited:     make(map[string]JSONFloat, len(s.cache)),
+		Aux:         aux,
 	}
 	for k, v := range s.cache {
 		cp.Visited[k] = JSONFloat(v)
-	}
-	if s.ckpt.Aux != nil {
-		cp.Aux = s.ckpt.Aux()
 	}
 	return cp
 }
 
 // writeCheckpoint persists the current state when checkpointing is
 // configured; final (termination/cancellation) writes ignore the cadence
-// and always produce a full snapshot. Between full snapshots (FullEvery >
-// 1), durable writes append delta records to the sidecar instead of
-// re-serialising the whole memo cache.
+// and always compact to a single snapshot line. Other writes append one
+// delta record to the open log, or compact when the record would push the
+// bytes appended since the last compaction past the compacted size.
 func (s *searcher) writeCheckpoint(final bool) error {
 	if s.ckpt == nil {
 		return nil
@@ -430,107 +324,64 @@ func (s *searcher) writeCheckpoint(final bool) error {
 	if !final && s.commits%every != 0 {
 		return nil
 	}
-	full := final || s.ckpt.FullEvery <= 1 || s.durables%s.ckpt.FullEvery == 0 || s.delta == nil
-	s.durables++
-	if full {
-		return s.writeFull(final)
+	var aux json.RawMessage
+	if s.ckpt.Aux != nil {
+		aux = s.ckpt.Aux()
 	}
-	return s.appendDelta()
+	if !final && s.log != nil {
+		// With nothing new and no caller state, a record would carry only
+		// advisory scalars (the steady state of a resume replay): skip it.
+		if len(s.pending) == 0 && aux == nil {
+			return nil
+		}
+		line, err := json.Marshal(deltaRecord{
+			Commit:      s.commits,
+			Best:        s.base,
+			BestValue:   JSONFloat(s.fBase),
+			Step:        s.step,
+			Halvings:    s.halvings,
+			Evaluations: s.result.Evaluations,
+			Visited:     s.pending,
+			Aux:         aux,
+		})
+		if err != nil {
+			return fmt.Errorf("pattern: checkpoint record: %w", err)
+		}
+		if s.appended+len(line)+1 <= s.compacted {
+			if err := s.log.Append(line); err != nil {
+				return fmt.Errorf("pattern: checkpoint append: %w", err)
+			}
+			s.appended += len(line) + 1
+			clear(s.pending)
+			return nil
+		}
+	}
+	return s.compact(final, aux)
 }
 
-// writeFull writes a full snapshot and, in delta mode, resets the sidecar
-// to extend the new snapshot (or removes it after the final write — a
-// finished checkpoint needs no deltas). The snapshot rename lands before
-// the sidecar reset, so a crash between the two leaves a sidecar whose
-// BaseCommits no longer matches — mergeDeltas ignores it.
-func (s *searcher) writeFull(final bool) error {
-	if err := s.snapshot(final && s.doneOK).Save(s.ckpt.Path); err != nil {
-		return err
-	}
-	if s.pending == nil {
-		return nil
-	}
-	clear(s.pending)
-	if final {
-		s.closeDelta()
-		os.Remove(s.ckpt.Path + deltaSuffix) // best-effort: a stale leftover is ignored at load
-		return nil
-	}
-	return s.resetDelta()
-}
-
-// resetDelta truncates (or creates) the sidecar and writes its header,
-// keeping the file handle open for subsequent appends.
-func (s *searcher) resetDelta() error {
-	s.closeDelta()
-	f, err := os.OpenFile(s.ckpt.Path+deltaSuffix, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// compact republishes the whole state as the log's single header line.
+// The rename fences the previous generation: its handle is closed, and
+// nothing written through it could reach the new file anyway.
+func (s *searcher) compact(final bool, aux json.RawMessage) error {
+	header, err := json.Marshal(s.snapshot(final && s.doneOK, aux))
 	if err != nil {
-		return fmt.Errorf("pattern: delta sidecar: %w", err)
+		return fmt.Errorf("pattern: marshal checkpoint: %w", err)
 	}
-	hdr := deltaHeader{
-		Version:     CheckpointVersion,
-		Kind:        deltaKind,
-		ModelHash:   s.ckpt.ModelHash,
-		Dim:         len(s.start),
-		BaseCommits: s.commits,
+	s.closeLog()
+	log, err := durable.CreateLog(s.ckpt.Path, header)
+	if err != nil {
+		return fmt.Errorf("pattern: checkpoint: %w", err)
 	}
-	if err := appendLine(f, hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("pattern: delta sidecar header: %w", err)
-	}
-	// Appends fsync the file, but a freshly created sidecar also needs its
-	// directory entry made durable, or a crash loses the whole file.
-	if err := SyncDir(filepath.Dir(s.ckpt.Path)); err != nil {
-		f.Close()
-		return fmt.Errorf("pattern: sync delta sidecar directory: %w", err)
-	}
-	s.delta = f
-	return nil
-}
-
-// appendDelta appends one record carrying the cache entries learned since
-// the previous durable write. A write with nothing new (every probe of the
-// pass was a cache hit — the steady state of a resume replay) is skipped
-// entirely: Visited is the load-bearing state, and the scalar fields are
-// advisory.
-func (s *searcher) appendDelta() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	rec := deltaRecord{
-		Commit:      s.commits,
-		Best:        append([]int(nil), s.base...),
-		BestValue:   JSONFloat(s.fBase),
-		Step:        append([]int(nil), s.step...),
-		Halvings:    s.halvings,
-		Evaluations: s.result.Evaluations,
-		Visited:     s.pending,
-	}
-	if err := appendLine(s.delta, rec); err != nil {
-		return fmt.Errorf("pattern: delta append: %w", err)
-	}
+	s.log, s.compacted, s.appended = log, len(header)+1, 0
 	clear(s.pending)
 	return nil
 }
 
-// appendLine marshals v, appends it to f as one newline-terminated record
-// and fsyncs, so every completed append survives a crash and only the
-// in-flight final line can ever be torn.
-func appendLine(f *os.File, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// closeDelta releases the sidecar handle; safe to call at any time.
-func (s *searcher) closeDelta() {
-	if s.delta != nil {
-		s.delta.Close()
-		s.delta = nil
+// closeLog releases the checkpoint log handle; safe to call at any time.
+// Every record was fsynced when appended, so a Close error loses nothing.
+func (s *searcher) closeLog() {
+	if s.log != nil {
+		s.log.Close()
+		s.log = nil
 	}
 }

@@ -258,3 +258,56 @@ func TestSearchCheckpointBadPath(t *testing.T) {
 		t.Fatal("unwritable checkpoint path accepted")
 	}
 }
+
+// legacyCheckpoint is a checkpoint exactly as the single-file snapshot
+// format wrote it before checkpoints became logs: one JSON object, no
+// trailing newline. It is the cancellation snapshot of the quad2 search
+// from (2,2) with steps (4,4), taken after the sixth objective call.
+const legacyCheckpoint = `{"version":1,"kind":"pattern-search","model_hash":"h","dim":2,"start":[2,2],"best":[6,6],"best_value":40,"step":[4,4],"commits":2,"evaluations":6,"visited":{"10,10":16,"14,10":56,"2,2":128,"6,10":8,"6,2":104,"6,6":40}}`
+
+// TestCheckpointLegacyFormatResume: a legacy snapshot loads as a log header
+// with zero records and resumes bit-identically. A legacy `.delta` sidecar
+// next to it is ignored — here it even carries a poisoned cache value that
+// would change the answer if it were merged.
+func TestCheckpointLegacyFormatResume(t *testing.T) {
+	start := numeric.IntVector{2, 2}
+	base := Options{InitialStep: numeric.IntVector{4, 4}, MaxHalvings: 3}
+	ref, err := Search(quad2, start, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	if err := os.WriteFile(path, []byte(legacyCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := `{"version":1,"kind":"pattern-search-delta","model_hash":"h","dim":2,"base_commits":2}` + "\n" +
+		`{"commit":3,"best":[7,12],"best_value":-1000,"step":[4,4],"evaluations":7,"visited":{"7,12":-1000}}` + "\n"
+	for _, withSidecar := range []bool{false, true} {
+		if withSidecar {
+			if err := os.WriteFile(path+".delta", []byte(sidecar), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("sidecar=%v: %v", withSidecar, err)
+		}
+		if ck.Commits != 2 || len(ck.Visited) != 6 || ck.ModelHash != "h" {
+			t.Fatalf("sidecar=%v: loaded %d commits, %d cache entries, hash %q", withSidecar, ck.Commits, len(ck.Visited), ck.ModelHash)
+		}
+		resumed := base
+		resumed.Resume = ck
+		res, err := Search(quad2, start, resumed)
+		if err != nil {
+			t.Fatalf("sidecar=%v: resume: %v", withSidecar, err)
+		}
+		if !res.Best.Equal(ref.Best) || math.Float64bits(res.BestValue) != math.Float64bits(ref.BestValue) ||
+			len(res.BasePoints) != len(ref.BasePoints) {
+			t.Errorf("sidecar=%v: resumed %v (%v, %d commits), uninterrupted %v (%v, %d commits)", withSidecar,
+				res.Best, res.BestValue, len(res.BasePoints), ref.Best, ref.BestValue, len(ref.BasePoints))
+		}
+		if res.Evaluations >= ref.Evaluations {
+			t.Errorf("sidecar=%v: resume made %d objective calls, uninterrupted %d", withSidecar, res.Evaluations, ref.Evaluations)
+		}
+	}
+}

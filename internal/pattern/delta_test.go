@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/numeric"
 )
 
@@ -16,8 +19,8 @@ var errKill = errors.New("simulated crash")
 
 // killAfter builds an objective that fails hard after n calls — unlike
 // cancellation, a hard failure writes NO final snapshot, so whatever the
-// cadence left on disk (snapshot + delta sidecar) is all a resume gets:
-// exactly the crash scenario the sidecar exists for.
+// cadence left in the log (last compaction + appended records) is all a
+// resume gets: exactly the crash scenario the records exist for.
 func killAfter(n int) Objective {
 	calls := 0
 	return func(x numeric.IntVector) (float64, error) {
@@ -29,17 +32,26 @@ func killAfter(n int) Objective {
 	}
 }
 
-// deltaOptions is the per-commit durable cadence with full snapshots only
-// every 4th write — the configuration the sidecar makes near-free.
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// deltaOptions is the per-commit durable cadence — the configuration the
+// appended delta records make near-free.
 func deltaOptions(path string) Options {
 	return Options{
 		InitialStep: numeric.IntVector{4, 4}, MaxHalvings: 3,
-		Checkpoint: &CheckpointOptions{Path: path, Every: 1, FullEvery: 4, ModelHash: "h"},
+		Checkpoint: &CheckpointOptions{Path: path, Every: 1, ModelHash: "h"},
 	}
 }
 
-// TestSearchDeltaResume: crash the search at several depths with delta
-// checkpointing on, resume from snapshot+sidecar, and land on the
+// TestSearchDeltaResume: crash the search at several depths with per-commit
+// checkpointing on, resume from the log, and land on the
 // bit-identical result of the uninterrupted run at any worker count.
 func TestSearchDeltaResume(t *testing.T) {
 	start := numeric.IntVector{2, 2}
@@ -75,47 +87,79 @@ func TestSearchDeltaResume(t *testing.T) {
 	}
 }
 
-// TestDeltaMergeMatchesFullSnapshots: the merged view of snapshot+sidecar
-// must carry the same memo cache as a run checkpointed with full snapshots
-// at every commit, crashed at the same call.
+// TestDeltaMergeMatchesFullSnapshots: the merged view of the log (last
+// compaction plus appended records) must carry exactly the memo cache and
+// commit count the search held at its last durable write, recorded here
+// independently through OnCommit, which runs just before each write.
 func TestDeltaMergeMatchesFullSnapshots(t *testing.T) {
 	start := numeric.IntVector{2, 2}
-	const killAt = 11
-	deltaPath := filepath.Join(t.TempDir(), "delta.ckpt")
-	fullPath := filepath.Join(t.TempDir(), "full.ckpt")
-	if _, err := Search(killAfter(killAt), start, deltaOptions(deltaPath)); !errors.Is(err, errKill) {
-		t.Fatalf("delta run: %v", err)
+	const killAt = 15 // past a compaction, with a record appended after it
+	path := filepath.Join(t.TempDir(), "delta.ckpt")
+	seen := map[string]float64{}
+	obj := killAfter(killAt)
+	recording := func(x numeric.IntVector) (float64, error) {
+		v, err := obj(x)
+		if err == nil {
+			seen[x.Key()] = v
+		}
+		return v, err
 	}
-	fullOpts := deltaOptions(fullPath)
-	fullOpts.Checkpoint.FullEvery = 0 // classic: every durable write is full
-	if _, err := Search(killAfter(killAt), start, fullOpts); !errors.Is(err, errKill) {
-		t.Fatalf("full run: %v", err)
+	var atWrite map[string]float64
+	commits := 0
+	opts := deltaOptions(path)
+	opts.OnCommit = func(numeric.IntVector, float64) {
+		commits++
+		atWrite = maps.Clone(seen)
 	}
-	merged, err := LoadCheckpoint(deltaPath)
+	if _, err := Search(recording, start, opts); !errors.Is(err, errKill) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	if _, records, _ := durable.ReadLog(mustRead(t, path)); len(records) == 0 {
+		t.Fatal("crash left no appended records; the merge is not exercised")
+	}
+	merged, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := LoadCheckpoint(fullPath)
-	if err != nil {
-		t.Fatal(err)
+	if len(merged.Visited) != len(atWrite) {
+		t.Fatalf("merged cache has %d entries, the search held %d", len(merged.Visited), len(atWrite))
 	}
-	if len(merged.Visited) != len(full.Visited) {
-		t.Fatalf("merged cache has %d entries, full-snapshot cache %d", len(merged.Visited), len(full.Visited))
-	}
-	for k, v := range full.Visited {
+	for k, v := range atWrite {
 		mv, ok := merged.Visited[k]
-		if !ok || math.Float64bits(float64(mv)) != math.Float64bits(float64(v)) {
-			t.Errorf("visited[%q]: merged %v, full %v (present %v)", k, mv, v, ok)
+		if !ok || math.Float64bits(float64(mv)) != math.Float64bits(v) {
+			t.Errorf("visited[%q]: merged %v, search %v (present %v)", k, mv, v, ok)
 		}
 	}
-	if merged.Commits != full.Commits || merged.Halvings != full.Halvings {
-		t.Errorf("merged commits/halvings %d/%d vs full %d/%d",
-			merged.Commits, merged.Halvings, full.Commits, full.Halvings)
+	if merged.Commits != commits {
+		t.Errorf("merged commits %d, search committed %d", merged.Commits, commits)
+	}
+}
+
+// TestDeltaAuxPerRecord: every appended record carries Aux, so the loaded
+// checkpoint restores the caller state of the last durable write, not the
+// one from the last compaction. Aux here is the commit count, and with a
+// per-commit cadence the last write happened at the last commit.
+func TestDeltaAuxPerRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	commits := 0
+	opts := deltaOptions(path)
+	opts.OnCommit = func(numeric.IntVector, float64) { commits++ }
+	opts.Checkpoint.Aux = func() json.RawMessage { return json.RawMessage(strconv.Itoa(commits)) }
+	if _, err := Search(killAfter(15), numeric.IntVector{2, 2}, opts); !errors.Is(err, errKill) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strconv.Itoa(commits); string(ck.Aux) != want || ck.Commits != commits {
+		t.Errorf("loaded aux %s at %d commits; the last durable write captured %s at %d commits",
+			ck.Aux, ck.Commits, want, commits)
 	}
 }
 
 // TestDeltaTornFinalLine: a crash mid-append leaves a torn last line; the
-// loader drops it (losing at most that one delta) and resume still works.
+// loader drops it (losing at most that one record) and resume still works.
 func TestDeltaTornFinalLine(t *testing.T) {
 	start := numeric.IntVector{2, 2}
 	path := filepath.Join(t.TempDir(), "search.ckpt")
@@ -126,14 +170,10 @@ func TestDeltaTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(path+deltaSuffix, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
+	data := mustRead(t, path)
+	if err := os.WriteFile(path, append(data, `{"commit":99,"visited":{"5,`...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"commit":99,"visited":{"5,`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	torn, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("torn final line rejected: %v", err)
@@ -142,25 +182,11 @@ func TestDeltaTornFinalLine(t *testing.T) {
 		t.Errorf("torn merge %d entries / %d commits, clean %d / %d",
 			len(torn.Visited), torn.Commits, len(clean.Visited), clean.Commits)
 	}
-	// Corruption anywhere BEFORE the final line is a real error.
-	if err := os.WriteFile(path+deltaSuffix+".tmp", nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path + deltaSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := []byte("garbage\n")
-	// Keep the header, inject garbage, then a valid-looking record.
-	hdrEnd := 0
-	for i, b := range data {
-		if b == '\n' {
-			hdrEnd = i + 1
-			break
-		}
-	}
-	corrupt := append(append(append([]byte(nil), data[:hdrEnd]...), lines...), `{"commit":3}`+"\n"...)
-	if err := os.WriteFile(path+deltaSuffix, corrupt, 0o644); err != nil {
+	// Corruption anywhere BEFORE the final line is a real error: keep the
+	// header, inject garbage, then a valid-looking record.
+	header, _, _ := durable.ReadLog(data)
+	corrupt := string(header) + "\n" + "garbage\n" + `{"commit":3}` + "\n"
+	if err := os.WriteFile(path, []byte(corrupt), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
@@ -168,67 +194,54 @@ func TestDeltaTornFinalLine(t *testing.T) {
 	}
 }
 
-// TestDeltaStaleSidecarIgnored: a sidecar whose header does not extend THIS
-// snapshot (wrong base commits or model hash — e.g. left behind by a crash
-// between a snapshot rename and the sidecar reset) is ignored whole.
-func TestDeltaStaleSidecarIgnored(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "search.ckpt")
-	cp := &Checkpoint{
-		Version: CheckpointVersion, Kind: checkpointKind, ModelHash: "h",
-		Dim: 2, Commits: 5, Visited: map[string]JSONFloat{"1,1": 2},
-	}
-	if err := cp.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	for _, hdr := range []string{
-		`{"version":1,"kind":"pattern-search-delta","model_hash":"h","dim":2,"base_commits":3}`,
-		`{"version":1,"kind":"pattern-search-delta","model_hash":"other","dim":2,"base_commits":5}`,
-		`{"ver`, // torn header: crash during the sidecar reset itself
-	} {
-		sidecar := hdr + "\n" + `{"commit":6,"visited":{"9,9":1}}` + "\n"
-		if err := os.WriteFile(path+deltaSuffix, []byte(sidecar), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadCheckpoint(path)
-		if err != nil {
-			t.Fatalf("header %q: %v", hdr, err)
-		}
-		if _, leaked := got.Visited["9,9"]; leaked || got.Commits != 5 {
-			t.Errorf("header %q: stale sidecar applied (%d entries, %d commits)", hdr, len(got.Visited), got.Commits)
-		}
-	}
-}
-
-// TestDeltaWritesAreCheap: with FullEvery = 8 and a per-commit cadence,
-// full snapshots (the expensive writes, counted via Aux) must be a small
-// fraction of the durable writes, and a normally terminated run must leave
-// no sidecar behind.
+// TestDeltaWritesAreCheap: with a per-commit cadence, compactions (the
+// expensive writes that republish the whole cache, seen as a new file
+// identity) must be a small fraction of the durable writes, the file must
+// stay within twice its last compacted size plus one record, and a
+// normally terminated run must leave a single snapshot line.
 func TestDeltaWritesAreCheap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.ckpt")
-	fullWrites := 0
+	var prev os.FileInfo
+	compactions, compacted := 0, int64(0)
+	observe := func() {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return // the first commit's write has not happened yet
+		}
+		if prev == nil || !os.SameFile(prev, fi) {
+			compactions++
+			compacted = fi.Size()
+		}
+		prev = fi
+		_, records, _ := durable.ReadLog(mustRead(t, path))
+		if n := len(records); n > 0 && fi.Size() > 2*compacted+int64(len(records[n-1])+1) {
+			t.Errorf("log is %d bytes after compacting to %d", fi.Size(), compacted)
+		}
+	}
 	opts := Options{
 		// Unit steps from far away: the pattern phase crawls, committing
 		// dozens of base points on the way to (7, 12).
 		InitialStep: numeric.IntVector{1, 1}, MaxHalvings: 2,
-		Checkpoint: &CheckpointOptions{
-			Path: path, Every: 1, FullEvery: 8,
-			Aux: func() json.RawMessage { fullWrites++; return nil },
-		},
+		OnCommit:   func(numeric.IntVector, float64) { observe() },
+		Checkpoint: &CheckpointOptions{Path: path, Every: 1},
 	}
 	res, err := Search(quad2, numeric.IntVector{200, 260}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	observe()
 	commits := len(res.BasePoints)
 	if commits < 8 {
 		t.Fatalf("test needs a longer trajectory, got %d commits", commits)
 	}
-	if want := commits/8 + 2; fullWrites > want {
-		t.Errorf("%d full snapshots over %d commits; want at most %d", fullWrites, commits, want)
+	if want := commits/8 + 2; compactions > want {
+		t.Errorf("%d compactions over %d commits; want at most %d", compactions, commits, want)
 	}
-	if _, err := os.Stat(path + deltaSuffix); !os.IsNotExist(err) {
-		t.Errorf("sidecar left behind after normal termination (stat err %v)", err)
+	if _, records, _ := durable.ReadLog(mustRead(t, path)); len(records) != 0 {
+		t.Errorf("%d records left after normal termination; want one snapshot line", len(records))
+	}
+	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
+		t.Errorf("sidecar written (stat err %v)", err)
 	}
 	ck, err := LoadCheckpoint(path)
 	if err != nil {
@@ -240,7 +253,7 @@ func TestDeltaWritesAreCheap(t *testing.T) {
 }
 
 // TestDeltaRoundTripValues: non-finite cache values survive the delta path
-// (the sidecar reuses the JSONFloat codec).
+// (records reuse the JSONFloat codec).
 func TestDeltaRoundTripValues(t *testing.T) {
 	start := numeric.IntVector{2, 2}
 	path := filepath.Join(t.TempDir(), "search.ckpt")

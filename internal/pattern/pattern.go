@@ -16,9 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/numeric"
 )
 
@@ -166,12 +166,13 @@ type searcher struct {
 	commits  int
 	doneOK   bool // set when the search terminated normally
 
-	// Delta-checkpoint state (ckpt.FullEvery > 1): cache entries learned
-	// since the last durable write, the open sidecar handle, and the count
-	// of durable writes (used to space full snapshots).
-	pending  map[string]JSONFloat
-	delta    *os.File
-	durables int
+	// Checkpoint-log state: cache entries learned since the last durable
+	// write, the open log, and the byte sizes that drive compaction (the
+	// header written by the last compaction, the records appended since).
+	pending   map[string]JSONFloat
+	log       *durable.Log
+	compacted int
+	appended  int
 }
 
 // future is one speculative objective evaluation in flight.
@@ -359,10 +360,10 @@ func Search(obj Objective, start numeric.IntVector, opts Options) (*Result, erro
 		return nil, err
 	}
 	s := &searcher{obj: obj, opts: opts, cache: make(map[string]float64), result: &Result{}, ckpt: opts.Checkpoint}
-	if s.ckpt != nil && s.ckpt.FullEvery > 1 {
+	if s.ckpt != nil {
 		s.pending = make(map[string]JSONFloat)
 	}
-	defer s.closeDelta()
+	defer s.closeLog()
 	if opts.Workers > 1 {
 		s.sem = make(chan struct{}, opts.Workers)
 	}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/pattern"
+	"repro/internal/durable"
 )
 
 // State is a job's lifecycle position. Transitions:
@@ -75,9 +75,9 @@ type JobResult struct {
 }
 
 // Record is a job's durable journal entry: everything a restarted daemon
-// needs to list, resume, or report the job. Records are written with the
-// same temp+fsync+rename+dirsync protocol as pattern checkpoints, so a
-// crash at any instant leaves the previous complete record or the new one.
+// needs to list, resume, or report the job. Records are published whole
+// with durable.WriteFile, so a crash at any instant leaves the previous
+// complete record or the new one.
 type Record struct {
 	ID    string          `json:"id"`
 	State State           `json:"state"`
@@ -105,8 +105,8 @@ const (
 )
 
 // Journal is the spool-directory job journal. Each job owns two files:
-// <id>.job (the fsynced record) and <id>.ckpt (+.ckpt.delta), the
-// pattern-search checkpoint written by the running search itself.
+// <id>.job (the fsynced record) and <id>.ckpt, the pattern-search
+// checkpoint log written by the running search itself.
 type Journal struct {
 	dir string
 }
@@ -143,40 +143,16 @@ func (j *Journal) ShardDir(id string) string {
 	return filepath.Join(j.dir, id+shardDirSuffix)
 }
 
-// Write persists the record durably: temp file, fsync, rename, directory
-// sync — a crash immediately after Write cannot lose the record.
+// Write persists the record durably (durable.WriteFile): a crash
+// immediately after Write cannot lose the record.
 func (j *Journal) Write(r *Record) error {
 	r.Updated = time.Now().UTC()
 	data, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("service: marshal job record: %w", err)
 	}
-	path := j.RecordPath(r.ID)
-	tmp, err := os.CreateTemp(j.dir, "."+r.ID+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("service: job record temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(fmt.Errorf("service: write job record: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("service: sync job record: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("service: close job record: %w", err))
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("service: publish job record: %w", err)
-	}
-	if err := pattern.SyncDir(j.dir); err != nil {
-		return fmt.Errorf("service: sync spool directory: %w", err)
+	if err := durable.WriteFile(j.RecordPath(r.ID), data); err != nil {
+		return fmt.Errorf("service: job record: %w", err)
 	}
 	return nil
 }
@@ -229,10 +205,10 @@ func (j *Journal) Scan() (records []*Record, bad []string, err error) {
 }
 
 // RetireCheckpoint removes a finished job's resumable state — the
-// search checkpoint with its delta sidecar, and a shard job's
-// coordinator spool; the journal record (with its result) remains.
-// Best-effort: leftovers are ignored by every later run (terminal jobs
-// never resume).
+// search checkpoint (and any .ckpt.delta sidecar an older binary left
+// beside it), and a shard job's coordinator spool; the journal record
+// (with its result) remains. Best-effort: leftovers are ignored by every
+// later run (terminal jobs never resume).
 func (j *Journal) RetireCheckpoint(id string) {
 	os.Remove(j.CheckpointPath(id))
 	os.Remove(j.CheckpointPath(id) + ".delta")

@@ -51,10 +51,9 @@ type Config struct {
 	// MaxSearchWorkers clamps the per-job search parallelism a spec may
 	// request (default 4).
 	MaxSearchWorkers int
-	// CheckpointEvery / CheckpointFullEvery set the durable checkpoint
-	// cadence (defaults 1 — every commit — and 8).
-	CheckpointEvery     int
-	CheckpointFullEvery int
+	// CheckpointEvery sets the durable checkpoint cadence (default 1 —
+	// every commit).
+	CheckpointEvery int
 	// ShardWorkerArgv overrides the worker command of kind:"shard" jobs;
 	// empty means this executable with -shard-worker (which windimd
 	// dispatches before flag parsing).
@@ -87,9 +86,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
-	}
-	if c.CheckpointFullEvery <= 0 {
-		c.CheckpointFullEvery = 8
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf

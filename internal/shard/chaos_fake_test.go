@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pattern"
+	"repro/internal/durable"
 	"repro/internal/shard/transport"
 )
 
@@ -175,7 +175,7 @@ func TestCoordinatorAdoptsLiveLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	data = append(data, '\n')
-	if err := pattern.WriteDurable(manifestPath(opts.Dir), data); err != nil {
+	if err := durable.WriteFile(manifestPath(opts.Dir), data); err != nil {
 		t.Fatal(err)
 	}
 	hash := Hash(data)

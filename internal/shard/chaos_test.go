@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/numeric"
-	"repro/internal/pattern"
 )
 
 func TestChaosCrashMidSlab(t *testing.T) {
@@ -251,22 +250,4 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// TestWriteDurableRoundTrip pins the durable-write contract the spool
-// rests on (exported from internal/pattern for this package).
-func TestWriteDurableRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x")
-	if err := pattern.WriteDurable(path, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if string(mustRead(t, path)) != "hello" {
-		t.Fatal("durable write lost bytes")
-	}
-	if err := pattern.WriteDurable(path, []byte("goodbye")); err != nil {
-		t.Fatal(err)
-	}
-	if string(mustRead(t, path)) != "goodbye" {
-		t.Fatal("durable overwrite lost bytes")
-	}
 }

@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
-	"repro/internal/pattern"
 	"repro/internal/power"
 	"repro/internal/shard/transport"
 )
@@ -310,7 +310,7 @@ func (c *coordinator) plan(n *netmodel.Network, copts core.Options) (*Manifest, 
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
-	} else if err := pattern.WriteDurable(path, data); err != nil {
+	} else if err := durable.WriteFile(path, data); err != nil {
 		return nil, nil, err
 	}
 	c.ev.emit(Event{Type: EventPlan, Slab: -1, Slabs: len(m.Slabs), Axis: m.Axis})

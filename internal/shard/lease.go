@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/pattern"
+	"repro/internal/durable"
 )
 
 // Lease fencing. Advisory heartbeats tell the coordinator a worker is
@@ -44,7 +44,7 @@ import (
 //     owner may still be running on some host, so the slab is ADOPTED —
 //     watched for a result or lease expiry — rather than double-launched.
 //
-// Lease writes go through the usual temp+fsync+rename protocol, so a
+// Lease writes go through durable.WriteFile (atomic publish), so a
 // lease file is never torn; last-writer-wins races between an acquiring
 // owner and a zombie's late renewal can cost an extra epoch (liveness),
 // never merge correctness — correctness rests on the epoch stamps in the
@@ -148,7 +148,7 @@ func writeLease(dir string, l *Lease) error {
 	if err != nil {
 		return err
 	}
-	return pattern.WriteDurable(leasePath(dir, l.Slab), data)
+	return durable.WriteFile(leasePath(dir, l.Slab), data)
 }
 
 // quarantineLease renames an unusable lease file aside as evidence.

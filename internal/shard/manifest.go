@@ -8,17 +8,16 @@
 // durable files in the spool directory:
 //
 //   - manifest.json — the search definition (network spec, evaluator,
-//     objective, box, axis, slab partition), written once with the
-//     temp+fsync+rename+dirsync protocol. Its SHA-256 is the manifest
-//     hash stamped into every other artifact, so a worker can never
-//     apply a stale slab assignment to a different search.
+//     objective, box, axis, slab partition), written once with
+//     durable.WriteFile. Its SHA-256 is the manifest hash stamped into
+//     every other artifact, so a worker can never apply a stale slab
+//     assignment to a different search.
 //   - slab<k>.res — one slab's final optimum, written durably by the
 //     worker that finished it. The coordinator validates it against the
 //     manifest before merging; an unparsable or mismatched file is
 //     quarantined (renamed aside) and the slab re-run.
-//   - slab<k>.ckpt — the slab's delta checkpoint: a fsynced append-only
-//     NDJSON file (header line + one cumulative record per completed
-//     stride) in the discipline of internal/pattern's delta sidecar. A
+//   - slab<k>.ckpt — the slab's checkpoint: a durable.Log of NDJSON
+//     (header line + one cumulative record per completed stride). A
 //     relaunched worker resumes from the last intact record; a torn
 //     final line (crash mid-append) loses at most one stride.
 //   - slab<k>.hb — the worker's progress heartbeat (current stride).
@@ -36,6 +35,7 @@
 package shard
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -45,6 +45,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
@@ -443,12 +444,12 @@ func ParseSlabCheckpoint(data []byte) (*SlabCheckpoint, error) {
 	if len(data) > maxCkptBytes {
 		return nil, fmt.Errorf("shard: slab checkpoint exceeds %d bytes", maxCkptBytes)
 	}
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
+	header, records, torn := durable.ReadLog(data)
+	if len(bytes.TrimSpace(header)) == 0 {
 		return nil, fmt.Errorf("shard: slab checkpoint has no header")
 	}
-	cp := &SlabCheckpoint{}
-	hdec := json.NewDecoder(strings.NewReader(lines[0]))
+	cp := &SlabCheckpoint{TornTail: torn}
+	hdec := json.NewDecoder(bytes.NewReader(header))
 	hdec.DisallowUnknownFields()
 	if err := hdec.Decode(&cp.Header); err != nil {
 		return nil, fmt.Errorf("shard: slab checkpoint header: %w", err)
@@ -470,15 +471,16 @@ func ParseSlabCheckpoint(data []byte) (*SlabCheckpoint, error) {
 		return nil, fmt.Errorf("shard: slab checkpoint epoch %d below 1", h.Epoch)
 	}
 	prev := -1 << 62
-	for _, line := range lines[1:] {
-		if strings.TrimSpace(line) == "" {
+	for _, line := range records {
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(strings.NewReader(line))
+		dec := json.NewDecoder(bytes.NewReader(line))
 		dec.DisallowUnknownFields()
 		var rec ckptRecord
 		if err := dec.Decode(&rec); err != nil || dec.More() {
-			// Only the in-flight final line can be torn; stop here.
+			// A terminated line that does not decode is treated like a
+			// torn tail: the prefix up to here is still trustworthy.
 			cp.TornTail = true
 			break
 		}

@@ -280,6 +280,10 @@ func (h *fakeHandle) Wait() error {
 	select {
 	case <-h.done:
 	case <-h.lost:
+	}
+	// Checked after the select too: when the worker has exited AND the
+	// host is cut, select picks either case at random.
+	if !h.reachable() {
 		select {} // the exit is unobservable behind the partition
 	}
 	h.mu.Lock()

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
 )
@@ -284,7 +285,13 @@ func runWorker(ctx context.Context, cfg workerConfig) error {
 		if st.best != nil {
 			rec.Best = st.best.Key()
 		}
-		if err := ckpt.append(rec); err != nil {
+		// Append fsyncs before returning, so the stride's durability is
+		// established before any fault below can fire.
+		line, err := json.Marshal(&rec)
+		if err != nil {
+			return err
+		}
+		if err := ckpt.Append(line); err != nil {
 			return err
 		}
 		switch cfg.fault {
@@ -343,12 +350,12 @@ func runWorker(ctx context.Context, cfg workerConfig) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "shard-worker: zombie writing stale epoch %d result for slab %d\n", cfg.epoch, slab)
-		return pattern.WriteDurable(resultPath(dir, slab), out)
+		return durable.WriteFile(resultPath(dir, slab), out)
 	}
 	if err := fence.prove(ctx); err != nil {
 		return err
 	}
-	return pattern.WriteDurable(resultPath(dir, slab), out)
+	return durable.WriteFile(resultPath(dir, slab), out)
 }
 
 // fenceState tracks a worker's proof of ownership: the lease it renews
@@ -512,24 +519,21 @@ func loadSlabState(dir string, slab int, hash string, dim int) (*slabState, erro
 	return st, nil
 }
 
-// slabCkpt appends fsynced NDJSON records to the slab checkpoint.
-type slabCkpt struct{ f *os.File }
-
-// openSlabCkpt (re)establishes the checkpoint file: it rewrites the
+// openSlabCkpt (re)establishes the checkpoint log: it republishes the
 // durable prefix — header plus, on resume, the last cumulative record,
-// both stamped with THIS attempt's epoch — with the temp+fsync+rename
-// protocol (truncating any torn tail a crash left behind), then opens
-// it for fsynced appends. The rename is also the fence against zombie
-// appends: a previous attempt still holding the file open now holds an
-// orphaned inode, so its writes can never reach the live checkpoint.
-func openSlabCkpt(dir string, slab int, hash string, epoch, dim int, st *slabState) (*slabCkpt, error) {
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	if err := enc.Encode(ckptHeader{
+// both stamped with THIS attempt's epoch — (dropping any torn tail a
+// crash left behind), then keeps it open for fsynced appends. The
+// republish is also the fence against zombie appends: a previous attempt
+// still holding the file open now holds an orphaned inode, so its writes
+// can never reach the live checkpoint.
+func openSlabCkpt(dir string, slab int, hash string, epoch, dim int, st *slabState) (*durable.Log, error) {
+	header, err := json.Marshal(ckptHeader{
 		Version: FormatVersion, Kind: ckptKind, ManifestHash: hash, Slab: slab, Epoch: epoch, Dim: dim,
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
+	var records [][]byte
 	if st.resumed {
 		rec := ckptRecord{
 			Stride:       st.next - 1,
@@ -541,35 +545,14 @@ func openSlabCkpt(dir string, slab int, hash string, epoch, dim int, st *slabSta
 		if st.best != nil {
 			rec.Best = st.best.Key()
 		}
-		if err := enc.Encode(rec); err != nil {
+		line, err := json.Marshal(&rec)
+		if err != nil {
 			return nil, err
 		}
+		records = append(records, line)
 	}
-	path := ckptPath(dir, slab)
-	if err := pattern.WriteDurable(path, []byte(sb.String())); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &slabCkpt{f: f}, nil
+	return durable.CreateLog(ckptPath(dir, slab), header, records...)
 }
-
-// append writes one record line and fsyncs before returning, so a
-// record's durability is established before any fault can fire.
-func (c *slabCkpt) append(rec ckptRecord) error {
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return c.f.Sync()
-}
-
-func (c *slabCkpt) Close() error { return c.f.Close() }
 
 // writeHeartbeat publishes the stride the worker is about to scan. It is
 // advisory liveness (progress) information, deliberately not fsynced.
