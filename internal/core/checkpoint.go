@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/mva"
 	"repro/internal/netmodel"
 	"repro/internal/pattern"
 )
@@ -19,8 +20,9 @@ var ErrResume = errors.New("core: resume rejected")
 
 // modelHash fingerprints everything a checkpoint's cached objective values
 // and replayed trajectory depend on: the network spec, evaluator,
-// objective, search box and start, solver tuning and — for robust runs —
-// the scenario set and criterion. Two runs with equal hashes compute
+// objective, search box and start, solver tuning, the fixed-point
+// iteration's revision (approximate evaluators only) and — for robust
+// runs — the scenario set and criterion. Two runs with equal hashes compute
 // identical objectives at every lattice point, so their checkpoints are
 // interchangeable; any difference makes resume unsafe and is rejected
 // before a single cached value is used.
@@ -50,6 +52,13 @@ func modelHash(n *netmodel.Network, opts Options, scenarios []Scenario, robust s
 		opts.InitialWindows, opts.InitialStep, opts.BufferLimits)
 	fmt.Fprintf(h, "|mva tol=%g damp=%g maxiter=%d",
 		opts.MVA.Tol, opts.MVA.Damping, opts.MVA.MaxIter)
+	if opts.Evaluator != EvalExactMVA {
+		// Approximate values depend on the fixed-point iteration itself,
+		// not only on its tuning, so a checkpoint cached under another
+		// revision of it is rejected. Appended conditionally to leave
+		// exact-evaluator hashes unchanged.
+		fmt.Fprintf(h, "|amva=%s", mva.Revision)
+	}
 	fmt.Fprintf(h, "|robust=%s", robust)
 	for _, sc := range scenarios {
 		fmt.Fprintf(h, "|scenario %q cap=%v rate=%v w=%g",

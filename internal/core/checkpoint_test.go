@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -172,6 +173,54 @@ func TestDimensionResumeRejectsMismatch(t *testing.T) {
 	// The happy path still round-trips.
 	if _, err := Dimension(n, Options{ResumePath: path}); err != nil {
 		t.Errorf("matching resume rejected: %v", err)
+	}
+}
+
+// TestDimensionResumeRejectsOtherSolverRevision: the hash carries the
+// approximate fixed-point iteration's revision, so a checkpoint written
+// under an older iteration — stamped here with the hash such a binary
+// computed for these options — is rejected, while exact-evaluator hashes,
+// which no iteration enters, are unchanged and still resume.
+func TestDimensionResumeRejectsOtherSolverRevision(t *testing.T) {
+	n := topo.Canada2Class(20, 20)
+	for _, tc := range []struct {
+		eval Evaluator
+		// hash of (n, Options{Evaluator: eval}) before the revision tag
+		// existed, under the λ-only stop without extrapolation
+		before  string
+		resumes bool
+	}{
+		{EvalSigmaMVA, "684e827338edb1b5b11721bf3dc9e92e1f84a151ef11963b081e10300cb6bb71", false},
+		{EvalExactMVA, "14869517dc29077faa75c62f60822d0dfb7462e7f3d4bf4f1d8581f31fb673c1", true},
+	} {
+		opts := Options{Evaluator: tc.eval}
+		hash, err := modelHash(n, opts, nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (hash == tc.before) != tc.resumes {
+			t.Errorf("%v: hash %s, before the revision tag %s", tc.eval, hash, tc.before)
+		}
+		path := filepath.Join(t.TempDir(), "windim.ckpt")
+		opts.CheckpointPath = path
+		if _, err := Dimension(n, opts); err != nil {
+			t.Fatal(err)
+		}
+		old, err := pattern.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.ModelHash = tc.before
+		if err := old.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Dimension(n, Options{Evaluator: tc.eval, ResumePath: path})
+		if tc.resumes && err != nil {
+			t.Errorf("%v: checkpoint from before the revision tag rejected: %v", tc.eval, err)
+		}
+		if !tc.resumes && !errors.Is(err, ErrResume) {
+			t.Errorf("%v: checkpoint from an older solver revision: err %v, want ErrResume", tc.eval, err)
+		}
 	}
 }
 

@@ -3,11 +3,15 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/mva"
+	"repro/internal/netmodel"
+	"repro/internal/numeric"
+	"repro/internal/pattern"
 	"repro/internal/topo"
 )
 
@@ -163,12 +167,16 @@ func TestDimensionRobustWatchdogQuorum(t *testing.T) {
 }
 
 // TestDimensionRobustSelectiveDegradation: a live end-to-end run in which
-// exactly one scenario stops converging mid-search. Under a tight sweep
-// budget with the fallback chain off, the lightly-cut trunk (0.15) needs
-// more fixed-point sweeps than the deeply-cut one (0.10) — it converges at
-// the start candidate but fails on a later one. With DegradeAfter 1 the
-// failing scenario is excluded with a recorded reason and the search still
-// returns a usable optimum over the survivor.
+// exactly one scenario stops converging mid-search. The lightly-cut trunk
+// (0.14) needs more fixed-point sweeps than the deeply-cut one (0.10) at
+// some later candidate of the search. The sweep budget is derived from
+// the two scenarios' measured sweep counts along the unbounded search:
+// enough for every deep-cut solve, including the final cold evaluation
+// at the optimum, and for the shallow cut's start point, but short of
+// the shallow cut's hardest candidate. With the fallback
+// chain off and DegradeAfter 1, the failing scenario is excluded with a
+// recorded reason and the search still returns a usable optimum over the
+// survivor.
 func TestDimensionRobustSelectiveDegradation(t *testing.T) {
 	n := topo.Canada2Class(20, 20)
 	mk := func(name string, cut float64) Scenario {
@@ -176,12 +184,18 @@ func TestDimensionRobustSelectiveDegradation(t *testing.T) {
 		sc.CapacityScale[topo.ChWT] = cut
 		return sc
 	}
-	scenarios := []Scenario{mk("deep-cut", 0.10), mk("shallow-cut", 0.15)}
+	scenarios := []Scenario{mk("deep-cut", 0.10), mk("shallow-cut", 0.14)}
+	sweeps, final := robustSweepCounts(t, n, scenarios)
+	budget := max(slices.Max(sweeps[0]), final[0], sweeps[1][0])
+	if budget >= slices.Max(sweeps[1]) {
+		t.Fatalf("no sweep budget separates the scenarios: deep-cut %v then %d, shallow-cut %v",
+			sweeps[0], final[0], sweeps[1])
+	}
 	res, err := DimensionRobust(n, scenarios, RobustMinimax, Options{
 		DisableFallback: true,
 		DegradeAfter:    1,
 		MinScenarios:    1,
-		MVA:             mva.Options{MaxIter: 20},
+		MVA:             mva.Options{MaxIter: budget},
 	})
 	if err != nil {
 		t.Fatalf("DimensionRobust: %v", err)
@@ -213,4 +227,67 @@ func TestDimensionRobustSelectiveDegradation(t *testing.T) {
 	if len(res.Windows) != len(n.Classes) {
 		t.Errorf("windows %v", res.Windows)
 	}
+}
+
+// robustSweepCounts replays DimensionRobust's unbounded minimax search
+// over the scenarios (serial, fallback chain off). It returns, per
+// scenario, the fixed-point sweeps of each evaluated candidate in
+// evaluation order (element 0 is the start point's cold solve) and of
+// the final cold evaluation at the optimum.
+func robustSweepCounts(t *testing.T, n *netmodel.Network, scenarios []Scenario) (search [][]int, final []int) {
+	t.Helper()
+	engines := make([]*Engine, len(scenarios))
+	for i := range scenarios {
+		p, err := scenarios[i].Apply(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engines[i], err = NewEngine(p, Options{DisableFallback: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search = make([][]int, len(scenarios))
+	objective := func(x numeric.IntVector) (float64, error) {
+		worst := 0.0
+		for i, eng := range engines {
+			st := eng.pool.Get().(*evalState)
+			sol, _, err := eng.solve(st, x)
+			if err != nil {
+				eng.pool.Put(st)
+				return 0, err
+			}
+			search[i] = append(search[i], sol.Iterations)
+			eng.routes.MetricsInto(&st.metrics, sol)
+			worst = max(worst, objectiveValue(&st.metrics, ObjNetworkPower))
+			eng.pool.Put(st)
+		}
+		return worst, nil
+	}
+	lo, hi := numeric.NewIntVector(len(n.Classes)), numeric.NewIntVector(len(n.Classes))
+	for i := range lo {
+		lo[i], hi[i] = 1, 64
+	}
+	res, err := pattern.Search(objective, n.HopVector(), pattern.Options{
+		Lo: lo, Hi: hi,
+		OnCommit: func(x numeric.IntVector, _ float64) {
+			for _, eng := range engines {
+				eng.Commit(x)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range engines {
+		eng.ResetWarm()
+	}
+	if _, err := objective(res.Best); err != nil {
+		t.Fatal(err)
+	}
+	for i := range search {
+		last := len(search[i]) - 1
+		final = append(final, search[i][last])
+		search[i] = search[i][:last]
+	}
+	return search, final
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -312,8 +313,18 @@ func TestDimensionRobustExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exh.Search.BestValue > pat.Search.BestValue {
-		t.Errorf("exhaustive criterion %v worse than pattern's %v", exh.Search.BestValue, pat.Search.BestValue)
+	// Both optima go through one identical (cold) evaluation: the searches'
+	// own values come from differently seeded solves, which agree only to
+	// the fixed-point tolerance.
+	worst := func(w numeric.IntVector) float64 {
+		powers, err := EvaluateScenarios(n, scenarios, w, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Min(powers)
+	}
+	if e, p := worst(exh.Windows), worst(pat.Windows); e < p {
+		t.Errorf("exhaustive windows %v worst power %v below pattern windows %v's %v", exh.Windows, e, pat.Windows, p)
 	}
 }
 

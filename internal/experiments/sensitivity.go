@@ -53,10 +53,18 @@ func Sensitivity(designLoad float64, sweep []float64, opts core.Options) (numeri
 		if err != nil {
 			return nil, nil, fmt.Errorf("sensitivity tuning at S=%v: %w", s, err)
 		}
+		// Both settings go through the same cold evaluation, so equal
+		// windows give equal power and a regret of exactly zero; the
+		// search's own value comes from a warm-started solve that agrees
+		// with it only to the fixed-point tolerance.
+		atTuned, err := eng.Evaluate(tuned.Windows)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sensitivity at S=%v: %w", s, err)
+		}
 		row := SensitivityRow{
 			S:            s,
 			PowerStatic:  atStatic.Power,
-			PowerTuned:   tuned.Metrics.Power,
+			PowerTuned:   atTuned.Power,
 			TunedWindows: tuned.Windows,
 		}
 		if row.PowerTuned > 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,5 +43,36 @@ func TestSensitivity(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "Sensitivity") {
 		t.Error("render missing title")
+	}
+}
+
+// TestSensitivityEqualWindowsZeroRegret: where re-tuning lands on the
+// static windows, both powers come from one evaluation, so the regret is
+// exactly zero (never a rounding-level "-0.0%").
+func TestSensitivityEqualWindowsZeroRegret(t *testing.T) {
+	static, rows, err := Sensitivity(20, []float64{15, 20, 25}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equal := 0
+	for _, r := range rows {
+		if !slices.Equal(r.TunedWindows, static) {
+			continue
+		}
+		equal++
+		if r.Regret != 0 || r.PowerStatic != r.PowerTuned {
+			t.Errorf("S=%v: windows %v equal the static ones, yet P(static) %v, P(tuned) %v, regret %v",
+				r.S, r.TunedWindows, r.PowerStatic, r.PowerTuned, r.Regret)
+		}
+	}
+	if equal == 0 {
+		t.Fatal("no load re-tuned to the static windows; the design load should")
+	}
+	var b strings.Builder
+	if err := RenderSensitivity(&b, 20, static, rows); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "-0.0%") {
+		t.Errorf("rendered table shows a negative zero regret:\n%s", b.String())
 	}
 }

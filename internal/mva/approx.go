@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/numeric"
 	"repro/internal/qnet"
@@ -62,13 +63,17 @@ func (in Initialization) String() string {
 
 // Options configures the approximate solvers. The zero value is the
 // thesis's configuration: σ-heuristic, balanced initialisation,
-// tolerance 1e-8 on the throughput vector, up to 10000 sweeps.
+// tolerance 1e-8, up to 10000 sweeps.
 type Options struct {
 	Method Method
 	Init   Initialization
-	// Tol is the convergence threshold on the Euclidean distance between
-	// successive throughput vectors (the APL program's CRIT). <= 0 means
-	// 1e-8.
+	// Tol is the convergence threshold (the APL program's CRIT).
+	// Approximate stops at a sweep whose throughput step and queue-length
+	// step are both below Tol, each measured as the Euclidean distance
+	// between successive vectors (the queue lengths over every visited
+	// (station, chain) pair); the sweep right after an extrapolation jump
+	// never stops it. The Linearizer cores stop on the throughput step
+	// alone. <= 0 means 1e-8.
 	Tol float64
 	// MaxIter bounds fixed-point sweeps. <= 0 means 10000.
 	MaxIter int
@@ -155,6 +160,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Revision names the fixed-point iteration of Approximate. Solves under
+// different revisions agree only to the tolerance, not bitwise, so
+// anything that stores their values for reuse (core's checkpoint
+// fingerprint) keys on it. Change it with any change to the iteration.
+const Revision = "extrapolated-full-state-stop"
+
 // ErrNotConverged is wrapped in the error returned when the fixed point
 // fails to converge within MaxIter sweeps.
 var ErrNotConverged = errors.New("mva: approximate MVA did not converge")
@@ -178,6 +189,18 @@ var ErrNotConverged = errors.New("mva: approximate MVA did not converge")
 // reads only the pre-sweep totals, and chain r's own queue-length update
 // is read by no later chain in the same sweep — so the fused sweep is bit
 // for bit the step-by-step one.
+//
+// The fixed point is extrapolated: once three plain sweeps show a steady
+// contraction ratio ρ of the full-state step norm hypot(‖Δλ‖, ‖Δq‖) —
+// the last two ratios within 10%, ρ < 0.9, the last two throughput steps
+// pointing the same way — λ and every queue length move by ρ/(1-ρ) times
+// their last step, unless that would take a throughput to zero or a queue
+// length below zero. The solve stops as Options.Tol describes, on the
+// queue-length step as well as the throughput step: stopping on the
+// throughput step alone is unsound even without jumps, since a
+// queue-length error mode can leave the throughputs nearly still (DESIGN
+// §10). Results are not bitwise equal to those of an older revision of
+// the iteration (see Revision).
 func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	if !opts.Prevalidated {
@@ -230,6 +253,12 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		}
 	}
 
+	// Extrapolation state: the full-state step norms of the two previous
+	// sweeps, the plain sweeps since the start or the last jump, and
+	// whether the previous sweep was followed by a jump.
+	var norm1, norm2 float64
+	plain, jumped := 0, false
+	qOld, lamStep := ws.qOld, ws.lamStep
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := sweepGate(&opts, iter); err != nil {
 			return nil, err
@@ -248,6 +277,7 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 			totQ[i] = total
 		}
 		copy(prev, lam)
+		dq2 := 0.0
 		for r := 0; r < nCh; r++ {
 			if !active[r] {
 				continue
@@ -284,17 +314,72 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 			lam[r] = float64(pop) / denom
 			// STEP 5: Little for queues, with optional damping.
 			for e := lo; e < hi; e++ {
+				old := qE[e]
 				next := lam[r] * sp.EntVisit[e] * tE[e]
-				qE[e] = opts.Damping*next + (1-opts.Damping)*qE[e]
+				qE[e] = opts.Damping*next + (1-opts.Damping)*old
+				qOld[e] = old
+				d := qE[e] - old
+				dq2 += d * d
 			}
 		}
-		// STEP 6: stopping condition.
-		if lam.L2Diff(prev) < opts.Tol {
+		// STEP 6: stopping condition on the full state. A sweep that
+		// follows a jump measured its λ step against a λ no sweep
+		// produced, so it never stops the solve.
+		dl2, dot := 0.0, 0.0
+		for r := 0; r < nCh; r++ {
+			d := lam[r] - prev[r]
+			dl2 += d * d
+			dot += d * lamStep[r]
+			lamStep[r] = d
+		}
+		dl, dq := math.Sqrt(dl2), math.Sqrt(dq2)
+		if !jumped && dl < opts.Tol && dq < opts.Tol {
 			return ws.solution(sp, iter, opts.Method.String()), nil
 		}
+		// Extrapolation (rule above): sum the iteration's geometric tail.
+		jumped = false
+		norm := math.Hypot(dl, dq)
+		if plain++; plain >= 3 {
+			rho, rhoPrev := norm/norm2, norm2/norm1
+			if rho < 0.9 && math.Abs(rho-rhoPrev) <= 0.1*rho && dot > 0 &&
+				ws.extrapolate(sp, rho/(1-rho)) {
+				plain, jumped = 0, true
+			}
+		}
+		norm1, norm2 = norm2, norm
 	}
 	return nil, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
 		ErrNotConverged, opts.MaxIter, opts.Method, opts.Tol)
+}
+
+// extrapolate moves every active chain's λ and queue lengths by f times
+// their last sweep's step, and reports whether it did: a jump that would
+// take a throughput to zero or below, or a queue length below zero, is
+// not taken.
+func (w *Workspace) extrapolate(sp *qnet.Sparse, f float64) bool {
+	for r := 0; r < sp.NCh; r++ {
+		if !w.active[r] {
+			continue
+		}
+		if !(w.lam[r]+f*w.lamStep[r] > 0) {
+			return false
+		}
+		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
+			if !(w.qE[e]+f*(w.qE[e]-w.qOld[e]) >= 0) {
+				return false
+			}
+		}
+	}
+	for r := 0; r < sp.NCh; r++ {
+		if !w.active[r] {
+			continue
+		}
+		w.lam[r] += f * w.lamStep[r]
+		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
+			w.qE[e] += f * (w.qE[e] - w.qOld[e])
+		}
+	}
+	return true
 }
 
 // solution scatters the entry-major state into the workspace's Solution.

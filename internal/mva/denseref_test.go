@@ -65,6 +65,10 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 	t := numeric.NewMatrix(nSt, nCh)
 	sigma := numeric.NewMatrix(nSt, nCh)
 	prev := numeric.NewVector(nCh)
+	qOld := numeric.NewMatrix(nSt, nCh)
+	lamStep := numeric.NewVector(nCh)
+	var norm1, norm2 float64
+	plain, jumped := 0, false
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		switch opts.Method {
 		case Schweitzer:
@@ -120,6 +124,7 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 			}
 			lam[r] = float64(ch.Population) / denom
 		}
+		dq2 := 0.0
 		for r := 0; r < nCh; r++ {
 			if !active[r] {
 				continue
@@ -129,11 +134,23 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 				if ch.Visits[i] == 0 {
 					continue
 				}
+				old := q.At(i, r)
 				next := lam[r] * ch.Visits[i] * t.At(i, r)
-				q.Set(i, r, opts.Damping*next+(1-opts.Damping)*q.At(i, r))
+				q.Set(i, r, opts.Damping*next+(1-opts.Damping)*old)
+				qOld.Set(i, r, old)
+				d := q.At(i, r) - old
+				dq2 += d * d
 			}
 		}
-		if lam.L2Diff(prev) < opts.Tol {
+		dl2, dot := 0.0, 0.0
+		for r := 0; r < nCh; r++ {
+			d := lam[r] - prev[r]
+			dl2 += d * d
+			dot += d * lamStep[r]
+			lamStep[r] = d
+		}
+		dl, dq := math.Sqrt(dl2), math.Sqrt(dq2)
+		if !jumped && dl < opts.Tol && dq < opts.Tol {
 			sol.Iterations = iter
 			sol.Solver = opts.Method.String()
 			copy(sol.Throughput, lam)
@@ -145,9 +162,52 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 			}
 			return sol, nil
 		}
+		jumped = false
+		norm := math.Hypot(dl, dq)
+		if plain++; plain >= 3 {
+			rho, rhoPrev := norm/norm2, norm2/norm1
+			if rho < 0.9 && math.Abs(rho-rhoPrev) <= 0.1*rho && dot > 0 &&
+				denseExtrapolate(net, active, lam, lamStep, q, qOld, rho/(1-rho)) {
+				plain, jumped = 0, true
+			}
+		}
+		norm1, norm2 = norm2, norm
 	}
 	return nil, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
 		ErrNotConverged, opts.MaxIter, opts.Method, opts.Tol)
+}
+
+// denseExtrapolate is the extrapolation jump over the dense state: every
+// active chain's λ and queue lengths move by f times their last step,
+// unless that would take a throughput to zero or a queue length below
+// zero.
+func denseExtrapolate(net *qnet.Network, active []bool, lam, lamStep numeric.Vector, q, qOld *numeric.Matrix, f float64) bool {
+	nSt, nCh := net.N(), net.R()
+	for r := 0; r < nCh; r++ {
+		if !active[r] {
+			continue
+		}
+		if !(lam[r]+f*lamStep[r] > 0) {
+			return false
+		}
+		for i := 0; i < nSt; i++ {
+			if net.Chains[r].Visits[i] > 0 && !(q.At(i, r)+f*(q.At(i, r)-qOld.At(i, r)) >= 0) {
+				return false
+			}
+		}
+	}
+	for r := 0; r < nCh; r++ {
+		if !active[r] {
+			continue
+		}
+		lam[r] += f * lamStep[r]
+		for i := 0; i < nSt; i++ {
+			if net.Chains[r].Visits[i] > 0 {
+				q.Set(i, r, q.At(i, r)+f*(q.At(i, r)-qOld.At(i, r)))
+			}
+		}
+	}
+	return true
 }
 
 func denseColdSeedChain(ch *qnet.Chain, r, nSt int, init Initialization, q *numeric.Matrix, lam numeric.Vector) error {

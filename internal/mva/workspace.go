@@ -69,6 +69,10 @@ type Workspace struct {
 	// tE[e] and sE[e] are the queue length, queue time and arrival-instant
 	// correction σ of entry e's (chain, station) pair.
 	qE, tE, sE []float64
+	// qOld[e] is qE[e] before the latest sweep and lamStep the latest
+	// sweep's throughput step: the state the extrapolation reads.
+	qOld    []float64
+	lamStep numeric.Vector
 	// sigmaFixed[r] marks a chain whose σ, computed on the first sweep,
 	// holds for the whole solve (see chainSigma).
 	sigmaFixed []bool
@@ -110,6 +114,7 @@ func (w *Workspace) ensure(nSt, nCh int) {
 	w.sigmaFixed = make([]bool, nCh)
 	w.lam = numeric.NewVector(nCh)
 	w.prev = numeric.NewVector(nCh)
+	w.lamStep = numeric.NewVector(nCh)
 	w.totQ = numeric.NewVector(nSt)
 	w.servInf = numeric.NewVector(nSt)
 	w.nPrev = numeric.NewVector(nSt)
@@ -143,12 +148,14 @@ func (w *Workspace) reset(sp *qnet.Sparse) {
 		w.qE = make([]float64, n)
 		w.tE = make([]float64, n)
 		w.sE = make([]float64, n)
+		w.qOld = make([]float64, n)
 		w.sol.QueueLen.Zero()
 		w.sol.QueueTime.Zero()
 	}
 	clear(w.qE)
 	clear(w.tE)
 	w.lam.Zero()
+	w.lamStep.Zero()
 }
 
 // seedChainFromWarm seeds chain r's STEP-1 state from a warm start,

@@ -106,10 +106,10 @@ func FuzzParseLease(f *testing.F) {
 		Acquired: now, Renewed: now,
 	})
 	f.Add(good)
-	f.Add(good[:len(good)/2])                 // torn write
-	f.Add(append([]byte(nil), good[1:]...))   // torn head
-	f.Add(bytes.Replace(good, []byte(`"epoch":3`), []byte(`"epoch":0`), 1))  // stale epoch
-	f.Add(bytes.Replace(good, []byte(`"epoch":3`), []byte(`"epoch":-9`), 1)) // negative epoch
+	f.Add(good[:len(good)/2])                                                     // torn write
+	f.Add(append([]byte(nil), good[1:]...))                                       // torn head
+	f.Add(bytes.Replace(good, []byte(`"epoch":3`), []byte(`"epoch":0`), 1))       // stale epoch
+	f.Add(bytes.Replace(good, []byte(`"epoch":3`), []byte(`"epoch":-9`), 1))      // negative epoch
 	f.Add(bytes.Replace(good, []byte(hash), []byte(strings.Repeat("zz", 32)), 1)) // foreign hash
 	f.Add(bytes.Replace(good, []byte(`"ttl_ms":10000`), []byte(`"ttl_ms":0`), 1)) // dead TTL
 	f.Add([]byte(`{"version":2,"kind":"shard-slab-lease"}`))
