@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/shard/transport"
@@ -118,27 +119,11 @@ func run(args []string) error {
 		DisableFallback: *noFallback,
 		ExactEngine:     *exactEngine,
 	}
-	switch *evaluator {
-	case "sigma":
-		copts.Evaluator = core.EvalSigmaMVA
-	case "schweitzer":
-		copts.Evaluator = core.EvalSchweitzerMVA
-	case "linearizer":
-		copts.Evaluator = core.EvalLinearizerMVA
-	case "exact":
-		copts.Evaluator = core.EvalExactMVA
-	default:
-		return fmt.Errorf("unknown evaluator %q", *evaluator)
+	if copts.Evaluator, err = core.ParseEvaluator(*evaluator); err != nil {
+		return err
 	}
-	switch *objective {
-	case "power":
-		copts.Objective = core.ObjNetworkPower
-	case "min-class":
-		copts.Objective = core.ObjMinClassPower
-	case "sum-class":
-		copts.Objective = core.ObjSumClassPower
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
+	if copts.Objective, err = core.ParseObjective(*objective); err != nil {
+		return err
 	}
 
 	argv := []string{os.Args[0], "-shard-worker"}
@@ -165,6 +150,10 @@ func run(args []string) error {
 		progW = f
 	}
 
+	// Each coordinator event goes to the -progress stream as NDJSON and
+	// to stderr as one rendered line.
+	feed := event.NewFeed(progW)
+
 	// SIGTERM/Ctrl-C drains: every reachable worker checkpoints its slab
 	// before exit, and re-running over the spool resumes the search.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -183,11 +172,8 @@ func run(args []string) error {
 		LeaseTTL:     *leaseTTL,
 		SlabDeadline: *slabDeadline,
 		KillGrace:    *killGrace,
-		Progress:     progW,
+		OnEvent:      func(ev event.Event) { fmt.Fprintln(os.Stderr, feed.Emit(ev)) },
 		Context:      ctx,
-		Logf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", a...)
-		},
 	})
 	if err != nil {
 		return err

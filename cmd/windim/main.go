@@ -163,35 +163,14 @@ func run(args []string) error {
 		defer cancel()
 	}
 	opts.Context = ctx
-	switch *evaluator {
-	case "sigma":
-		opts.Evaluator = core.EvalSigmaMVA
-	case "schweitzer":
-		opts.Evaluator = core.EvalSchweitzerMVA
-	case "linearizer":
-		opts.Evaluator = core.EvalLinearizerMVA
-	case "exact":
-		opts.Evaluator = core.EvalExactMVA
-	default:
-		return fmt.Errorf("unknown evaluator %q", *evaluator)
+	if opts.Evaluator, err = core.ParseEvaluator(*evaluator); err != nil {
+		return err
 	}
-	switch *search {
-	case "pattern":
-		opts.Search = core.PatternSearch
-	case "exhaustive":
-		opts.Search = core.ExhaustiveSearch
-	default:
-		return fmt.Errorf("unknown search %q", *search)
+	if opts.Search, err = core.ParseSearch(*search); err != nil {
+		return err
 	}
-	switch *objective {
-	case "power":
-		opts.Objective = core.ObjNetworkPower
-	case "min-class":
-		opts.Objective = core.ObjMinClassPower
-	case "sum-class":
-		opts.Objective = core.ObjSumClassPower
-	default:
-		return fmt.Errorf("unknown objective %q", *objective)
+	if opts.Objective, err = core.ParseObjective(*objective); err != nil {
+		return err
 	}
 	if *start != "" {
 		iw, err := cliutil.ParseWindows(*start)
@@ -210,14 +189,9 @@ func run(args []string) error {
 	}
 
 	if *scenarioFile != "" || *sampleScenarios > 0 {
-		var kind core.RobustKind
-		switch *robust {
-		case "minmax":
-			kind = core.RobustMinimax
-		case "weighted":
-			kind = core.RobustWeighted
-		default:
-			return fmt.Errorf("unknown robust criterion %q (want minmax or weighted)", *robust)
+		kind, err := core.ParseRobustKind(*robust)
+		if err != nil {
+			return err
 		}
 		var scenarios []core.Scenario
 		switch {

@@ -15,7 +15,7 @@
 //	GET    /jobs             list jobs
 //	GET    /jobs/{id}        one job's record (spec, state, retries, result)
 //	DELETE /jobs/{id}        cancel a job
-//	GET    /jobs/{id}/events stream progress as NDJSON (commits, retries, done)
+//	GET    /jobs/{id}/events stream the job's events as NDJSON (internal/event)
 //	GET    /healthz          liveness (503 while draining)
 //	GET    /stats            queue/pool occupancy, admission and resilience counters
 //
@@ -29,7 +29,9 @@
 // the multi-process sharded coordinator (internal/shard): the daemon
 // relaunches itself as slab workers via the hidden -shard-worker mode,
 // and the coordinator spool lives next to the job record so drains and
-// crashes resume mid-slab.
+// crashes resume mid-slab. The coordinator's shard-… events, the same
+// ones windim-shard -progress writes, go into the job's event stream
+// unchanged and into the log as one rendered line each.
 package main
 
 import (

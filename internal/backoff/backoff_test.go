@@ -1,11 +1,11 @@
-package service
+package backoff
 
 import (
 	"testing"
 	"time"
 )
 
-// backoffBase is the deterministic floor BackoffDelay jitters on top of:
+// backoffBase is the deterministic floor Delay jitters on top of:
 // 100ms doubling per attempt, capped at 5s.
 func backoffBase(attempt int) time.Duration {
 	if attempt < 0 {
@@ -30,7 +30,7 @@ func TestBackoffDelayEnvelope(t *testing.T) {
 	for attempt := 0; attempt <= 12; attempt++ {
 		base := backoffBase(attempt)
 		for i := 0; i < 64; i++ {
-			d := BackoffDelay(attempt)
+			d := Delay(attempt)
 			if d < base || d > base+base/2 {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, base, base+base/2)
 			}
@@ -43,7 +43,7 @@ func TestBackoffDelayEnvelope(t *testing.T) {
 // stall a healthy queue.
 func TestBackoffDelayAttemptZero(t *testing.T) {
 	for i := 0; i < 64; i++ {
-		d := BackoffDelay(0)
+		d := Delay(0)
 		if d < 100*time.Millisecond || d > 150*time.Millisecond {
 			t.Fatalf("attempt 0: delay %v outside [100ms, 150ms]", d)
 		}
@@ -56,7 +56,7 @@ func TestBackoffDelayAttemptZero(t *testing.T) {
 func TestBackoffDelayCap(t *testing.T) {
 	for _, attempt := range []int{6, 7, 20, 63, 1 << 20} {
 		for i := 0; i < 16; i++ {
-			d := BackoffDelay(attempt)
+			d := Delay(attempt)
 			if d < 5*time.Second || d > 7500*time.Millisecond {
 				t.Fatalf("attempt %d: delay %v outside [5s, 7.5s]", attempt, d)
 			}
@@ -83,7 +83,7 @@ func TestBackoffDelayMonotonicFloor(t *testing.T) {
 // attempt 0, not panic on a negative shift.
 func TestBackoffDelayNegativeAttempt(t *testing.T) {
 	for _, attempt := range []int{-1, -5, -1 << 30} {
-		d := BackoffDelay(attempt)
+		d := Delay(attempt)
 		if d < 100*time.Millisecond || d > 150*time.Millisecond {
 			t.Fatalf("attempt %d: delay %v outside attempt-0 envelope", attempt, d)
 		}
@@ -96,7 +96,7 @@ func TestBackoffDelayNegativeAttempt(t *testing.T) {
 func TestBackoffDelayJitters(t *testing.T) {
 	seen := map[time.Duration]bool{}
 	for i := 0; i < 256; i++ {
-		seen[BackoffDelay(3)] = true
+		seen[Delay(3)] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("256 samples produced %d distinct delays; jitter missing", len(seen))

@@ -29,14 +29,10 @@ const (
 )
 
 func (k RobustKind) String() string {
-	switch k {
-	case RobustMinimax:
-		return "minmax"
-	case RobustWeighted:
-		return "weighted"
-	default:
-		return fmt.Sprintf("RobustKind(%d)", int(k))
+	if n := nameOf(robustNames, int(k)); n != "" {
+		return n
 	}
+	return fmt.Sprintf("RobustKind(%d)", int(k))
 }
 
 // RobustResult is the outcome of a DimensionRobust run.

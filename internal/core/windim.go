@@ -115,14 +115,10 @@ const (
 )
 
 func (s SearchKind) String() string {
-	switch s {
-	case PatternSearch:
-		return "pattern"
-	case ExhaustiveSearch:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("SearchKind(%d)", int(s))
+	if n := nameOf(searchNames, int(s)); n != "" {
+		return n
 	}
+	return fmt.Sprintf("SearchKind(%d)", int(s))
 }
 
 // Options configures WINDIM. The zero value reproduces the thesis:

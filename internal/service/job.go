@@ -15,7 +15,9 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -226,38 +228,16 @@ func ParseJob(data []byte) (*Job, error) {
 			return nil, fmt.Errorf("service: job scenarios: %w", err)
 		}
 	}
-	switch spec.Robust {
-	case "", "minmax":
-		job.Kind = core.RobustMinimax
-	case "weighted":
-		job.Kind = core.RobustWeighted
-	default:
-		return nil, fmt.Errorf("service: unknown robust criterion %q (want minmax or weighted)", spec.Robust)
+	// An empty name takes the option's default.
+	var errs [3]error
+	job.Kind, errs[0] = core.ParseRobustKind(cmp.Or(spec.Robust, core.RobustMinimax.String()))
+	job.Evaluator, errs[1] = core.ParseEvaluator(cmp.Or(spec.Evaluator, core.EvalSigmaMVA.Name()))
+	job.Objective, errs[2] = core.ParseObjective(cmp.Or(spec.Objective, core.ObjNetworkPower.Name()))
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	if spec.Robust != "" && len(spec.Scenarios) == 0 {
 		return nil, fmt.Errorf("service: robust criterion given without scenarios")
-	}
-	switch spec.Evaluator {
-	case "", "sigma":
-		job.Evaluator = core.EvalSigmaMVA
-	case "schweitzer":
-		job.Evaluator = core.EvalSchweitzerMVA
-	case "linearizer":
-		job.Evaluator = core.EvalLinearizerMVA
-	case "exact":
-		job.Evaluator = core.EvalExactMVA
-	default:
-		return nil, fmt.Errorf("service: unknown evaluator %q", spec.Evaluator)
-	}
-	switch spec.Objective {
-	case "", "power":
-		job.Objective = core.ObjNetworkPower
-	case "min-class":
-		job.Objective = core.ObjMinClassPower
-	case "sum-class":
-		job.Objective = core.ObjSumClassPower
-	default:
-		return nil, fmt.Errorf("service: unknown objective %q", spec.Objective)
 	}
 	switch spec.Kind {
 	case "", "dimension":

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/convolution"
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/mva"
 	"repro/internal/numeric"
 	"repro/internal/shard"
@@ -41,15 +41,6 @@ func transientErr(err error) bool {
 		errors.Is(err, shard.ErrBudget) ||
 		errors.Is(err, errPanic)
 }
-
-// BackoffDelay is the exponential backoff before retry attempt n (1-based
-// count of recorded retries): base 100ms doubling per retry, capped at
-// 5s, plus up to 50% uniform jitter so a burst of failing jobs does not
-// retry in lockstep. Negative counts clamp to zero. The implementation
-// lives in internal/backoff, shared with the sharded-search coordinator
-// (internal/shard), which paces worker relaunches and host-blacklist
-// probes with the same discipline.
-func BackoffDelay(retries int) time.Duration { return backoff.Delay(retries) }
 
 // worker is one slot of the bounded pool: it drains the queue until the
 // server context dies (drain or crash).
@@ -115,12 +106,12 @@ func (s *Server) runJob(j *job) {
 		if err := s.journalWrite(j); err != nil {
 			s.logf("job %s: journal: %v", j.id, err)
 		}
-		typ := "started"
+		typ := event.Started
 		if resume {
-			typ = "resumed"
+			typ = event.Resumed
 			s.resumedTotal.Add(1)
 		}
-		j.emit(Event{Type: typ, Attempt: attempt})
+		j.feed.Emit(Event{Type: typ, Attempt: attempt})
 
 		res, err := s.runAttempt(j, resume)
 		if err == nil {
@@ -144,7 +135,7 @@ func (s *Server) runJob(j *job) {
 			s.finishTerminal(j, StateFailed, err.Error())
 			return
 		}
-		delay := BackoffDelay(retries)
+		delay := backoff.Delay(retries)
 		j.mu.Lock()
 		j.rec.Retries = append(j.rec.Retries, Retry{
 			Attempt:   attempt,
@@ -157,7 +148,7 @@ func (s *Server) runJob(j *job) {
 		if werr := s.journalWrite(j); werr != nil {
 			s.logf("job %s: journal: %v", j.id, werr)
 		}
-		j.emit(Event{Type: "retry", Attempt: attempt, Error: err.Error()})
+		j.feed.Emit(Event{Type: event.Retry, Attempt: attempt, Error: err.Error()})
 		select {
 		case <-time.After(delay):
 		case <-s.ctx.Done():
@@ -283,11 +274,7 @@ func (s *Server) searchOptions(j *job, ctx context.Context, start numeric.IntVec
 		CheckpointPath:  s.journal.CheckpointPath(j.id),
 		CheckpointEvery: every,
 		OnCommit: func(x numeric.IntVector, fx float64) {
-			ev := Event{Type: "commit", Windows: append([]int(nil), x...)}
-			if fx > 0 && !math.IsInf(fx, 0) && !math.IsNaN(fx) {
-				ev.Power = 1 / fx
-			}
-			j.emit(ev)
+			j.feed.Emit(Event{Type: event.Commit, Windows: append([]int(nil), x...), Power: event.Power(fx)})
 		},
 	}
 	if opts.ExactEngine {
@@ -369,11 +356,11 @@ func (s *Server) finishDone(j *job, res *JobResult) {
 	}
 	s.releasePin(j)
 	s.oracles.TrimToBudget()
-	j.emit(Event{Type: "done", Windows: append([]int(nil), res.Windows...), Power: res.Power})
-	// close is the completion barrier: every effect of the job — journal
+	j.feed.Emit(Event{Type: event.Done, Windows: append([]int(nil), res.Windows...), Power: res.Power})
+	// Close is the completion barrier: every effect of the job — journal
 	// record, checkpoint retirement, warm index, budget release — is
 	// visible before the feed closes.
-	j.close()
+	j.feed.Close()
 }
 
 // finishTerminal retires a job in a non-done terminal state.
@@ -388,8 +375,8 @@ func (s *Server) finishTerminal(j *job, state State, msg string) {
 	s.journal.RetireCheckpoint(j.id)
 	s.releasePin(j)
 	s.oracles.TrimToBudget()
-	j.emit(Event{Type: string(state), Error: msg})
-	j.close()
+	j.feed.Emit(Event{Type: string(state), Error: msg})
+	j.feed.Close()
 }
 
 // accountResult folds a finished job's resilience counters into the

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/shard/transport"
@@ -93,17 +94,10 @@ func (c *Config) fillDefaults() {
 }
 
 // Event is one entry of a job's live progress feed, streamed as NDJSON
-// from GET /jobs/{id}/events. Commit events carry the accepted base
-// point and its power, straight from the search's OnCommit hook.
-type Event struct {
-	Seq     int       `json:"seq"`
-	Type    string    `json:"type"` // queued|started|resumed|commit|retry|done|failed|canceled
-	At      time.Time `json:"at"`
-	Attempt int       `json:"attempt,omitempty"`
-	Windows []int     `json:"windows,omitempty"`
-	Power   float64   `json:"power,omitempty"`
-	Error   string    `json:"error,omitempty"`
-}
+// from GET /jobs/{id}/events: the job's own events (queued … canceled;
+// commit events carry the accepted base point and its power) and, for
+// kind:"shard" jobs, the coordinator's shard-… events unchanged.
+type Event = event.Event
 
 // job is the in-memory side of a journal record: the parsed spec, the
 // live event feed, and the cancel handle of the running attempt.
@@ -111,6 +105,7 @@ type job struct {
 	id         string
 	parsed     *Job
 	structHash string
+	feed       *event.Feed
 
 	mu           sync.Mutex
 	rec          *Record
@@ -120,48 +115,10 @@ type job struct {
 	// ckptDiscarded counts checkpoints of this job that resume found
 	// unusable (stale or torn beyond repair) and quarantined.
 	ckptDiscarded int64
-	events        []Event
-	notify        chan struct{} // closed and replaced on every event
-	closed        bool
-	done          chan struct{}
 }
 
 func newJob(id string, parsed *Job, rec *Record) *job {
-	return &job{id: id, parsed: parsed, rec: rec,
-		notify: make(chan struct{}), done: make(chan struct{})}
-}
-
-// emit appends an event and wakes every streaming reader.
-func (j *job) emit(ev Event) {
-	j.mu.Lock()
-	ev.Seq = len(j.events) + 1
-	ev.At = time.Now().UTC()
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
-	j.mu.Unlock()
-}
-
-// close marks the event feed complete (the job is terminal).
-func (j *job) close() {
-	j.mu.Lock()
-	if !j.closed {
-		j.closed = true
-		close(j.done)
-	}
-	j.mu.Unlock()
-}
-
-// eventsSince returns the events after seq, a channel that closes when
-// more arrive, and whether the feed is complete.
-func (j *job) eventsSince(seq int) ([]Event, <-chan struct{}, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if seq > len(j.events) {
-		seq = len(j.events)
-	}
-	evs := append([]Event(nil), j.events[seq:]...)
-	return evs, j.notify, j.closed
+	return &job{id: id, parsed: parsed, rec: rec, feed: event.NewFeed(nil)}
 }
 
 // Server is the windimd daemon: a bounded worker pool over a crash-safe
@@ -261,7 +218,7 @@ func (s *Server) recoverSpool() ([]*job, error) {
 		parsed, perr := ParseJob(rec.Spec)
 		if rec.State.Terminal() {
 			j := newJob(rec.ID, parsed, rec)
-			j.close()
+			j.feed.Close()
 			s.jobs[rec.ID] = j
 			s.order = append(s.order, rec.ID)
 			if perr == nil && rec.State == StateDone && rec.Result != nil &&
@@ -282,7 +239,7 @@ func (s *Server) recoverSpool() ([]*job, error) {
 				s.logf("spool: %s: %v", rec.ID, werr)
 			}
 			j := newJob(rec.ID, nil, rec)
-			j.close()
+			j.feed.Close()
 			s.jobs[rec.ID] = j
 			s.order = append(s.order, rec.ID)
 			continue
@@ -590,7 +547,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.admitted.Add(1)
-	j.emit(Event{Type: "queued"})
+	j.feed.Emit(Event{Type: event.Queued})
 	select {
 	case s.queue <- j:
 	default:
@@ -673,8 +630,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		}
 		s.journal.RetireCheckpoint(j.id)
 		s.releasePin(j)
-		j.emit(Event{Type: "canceled", Error: errCanceled.Error()})
-		j.close()
+		j.feed.Emit(Event{Type: event.Canceled, Error: errCanceled.Error()})
+		j.feed.Close()
 		writeJSON(w, http.StatusOK, map[string]any{"id": j.id, "state": StateCanceled})
 	default:
 		// Running, but the attempt has not installed its cancel handle
@@ -700,7 +657,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	seq := 0
 	for {
-		evs, notify, closed := j.eventsSince(seq)
+		evs, notify, closed := j.feed.Since(seq)
 		for _, ev := range evs {
 			if err := enc.Encode(ev); err != nil {
 				return

@@ -86,9 +86,10 @@ func waitTerminal(t *testing.T, s *Server, id string) Record {
 		if j == nil {
 			return false
 		}
+		_, _, closed := j.feed.Since(0)
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		return j.closed && j.rec.State.Terminal()
+		return closed && j.rec.State.Terminal()
 	})
 	return recordOf(t, s, id)
 }
@@ -100,7 +101,7 @@ func waitCommits(t *testing.T, s *Server, id string, n int) {
 		if j == nil {
 			return false
 		}
-		evs, _, _ := j.eventsSince(0)
+		evs, _, _ := j.feed.Since(0)
 		commits := 0
 		for _, ev := range evs {
 			if ev.Type == "commit" {

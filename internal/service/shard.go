@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/shard"
 )
 
@@ -56,14 +57,10 @@ func (s *Server) dimensionSharded(j *job, ctx context.Context) (*JobResult, erro
 		Axis:       -1,
 		MaxRetries: -1, // coordinator default
 		Context:    ctx,
-		OnEvent: func(ev shard.Event) {
-			// Fold the coordinator's stream into the job's event feed under
-			// a "shard-" type prefix; seq and time are re-stamped there.
-			j.emit(Event{Type: "shard-" + ev.Type, Attempt: ev.Attempt,
-				Windows: append([]int(nil), ev.Windows...), Error: ev.Error})
-		},
-		Logf: func(format string, args ...any) {
-			s.logf("job "+j.id+": "+format, args...)
+		OnEvent: func(ev event.Event) {
+			// The coordinator's events go into the job's feed as they are,
+			// and into the log as one rendered line each.
+			s.logf("job %s: %v", j.id, j.feed.Emit(ev))
 		},
 	}
 	if sp := j.parsed.Spec.Shard; sp != nil {

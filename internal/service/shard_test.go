@@ -1,14 +1,19 @@
 package service
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/shard"
 	"repro/internal/shard/transport"
 )
@@ -98,7 +103,7 @@ func TestShardJobMatchesExhaustive(t *testing.T) {
 	// The coordinator's stream surfaced in the job's event feed under the
 	// shard- prefix.
 	j := s.lookup(id)
-	evs, _, _ := j.eventsSince(0)
+	evs, _, _ := j.feed.Since(0)
 	sawShard := false
 	for _, ev := range evs {
 		if strings.HasPrefix(ev.Type, "shard-") {
@@ -108,6 +113,83 @@ func TestShardJobMatchesExhaustive(t *testing.T) {
 	}
 	if !sawShard {
 		t.Fatalf("no shard- events in the feed: %+v", evs)
+	}
+}
+
+// TestShardJobEventFeed pins the one event vocabulary on the windimd
+// feed of a shard job: the coordinator's events arrive with their fields
+// intact (the slab on every launch and slab result, the host on every
+// launch, the partition on the plan), the merged power is a power equal
+// to the job's, and the daemon log holds one rendered line per event.
+func TestShardJobEventFeed(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	cfg := shardConfig(t, t.TempDir())
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	s := newTestServer(t, cfg)
+	id, code, out := submitJob(t, s, shardJobSpec)
+	if code != 202 {
+		t.Fatalf("submit: %d %v", code, out)
+	}
+	if rec := waitTerminal(t, s, id); rec.State != StateDone {
+		t.Fatalf("job ended %s (%s)", rec.State, rec.Error)
+	}
+
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("GET", "/jobs/"+id+"/events", nil))
+	var shardEvs []Event
+	var merged, done *Event
+	for _, line := range strings.Split(strings.TrimSpace(w.Body.String()), "\n") {
+		var ev Event
+		var raw map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		json.Unmarshal([]byte(line), &raw)
+		switch ev.Type {
+		case event.ShardPlan:
+			if raw["slabs"] != 3.0 || raw["axis"] != 0.0 {
+				t.Errorf("plan event without its partition: %s", line)
+			}
+		case event.ShardLaunched, event.ShardDone:
+			if ev.Slab == nil || (ev.Type == event.ShardLaunched && ev.Host == "") {
+				t.Errorf("%s event without slab or host: %s", ev.Type, line)
+			}
+		case event.ShardMerged:
+			merged = &ev
+		case event.Done:
+			done = &ev
+		}
+		if strings.HasPrefix(ev.Type, "shard-") {
+			shardEvs = append(shardEvs, ev)
+		}
+	}
+	if merged == nil || done == nil {
+		t.Fatalf("feed lacks shard-merged or done: %s", w.Body.String())
+	}
+	if math.Abs(merged.Power-done.Power) > 1e-12*done.Power {
+		t.Errorf("shard-merged power %v, job done power %v", merged.Power, done.Power)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	var lines []string
+	for _, l := range logged {
+		if strings.HasPrefix(l, "job "+id+": shard-") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != len(shardEvs) {
+		t.Fatalf("%d shard log lines for %d shard events:\n%s", len(lines), len(shardEvs), strings.Join(lines, "\n"))
+	}
+	for i, ev := range shardEvs {
+		if want := "job " + id + ": " + ev.String(); lines[i] != want {
+			t.Errorf("log line %d = %q, want %q", i, lines[i], want)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/event"
 	"repro/internal/shard/transport"
 )
 
@@ -40,7 +41,7 @@ func fakeShardOptions(t *testing.T, fleet []string, chaos, faults string) (Optio
 		SlabDeadline: 400 * time.Millisecond,
 		KillGrace:    150 * time.Millisecond,
 		PollEvery:    10 * time.Millisecond,
-		Logf:         t.Logf,
+		OnEvent:      func(ev event.Event) { t.Log(ev) },
 	}
 	if faults != "" {
 		opts.ExtraEnv = []string{EnvFault + "=" + faults}
@@ -95,8 +96,8 @@ func TestZombieSurvivesCoordinatorRestart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opts.Context = ctx
-	opts.OnEvent = func(ev Event) {
-		if ev.Type == EventSuperseded && ev.Slab == 1 {
+	opts.OnEvent = func(ev event.Event) {
+		if ev.Type == event.ShardSuperseded && *ev.Slab == 1 {
 			cancel()
 		}
 	}

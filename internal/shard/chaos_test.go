@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/numeric"
 )
 
@@ -202,22 +203,27 @@ func TestChaosDrainAndResume(t *testing.T) {
 	assertMatchesBaseline(t, res, base)
 }
 
-// TestChaosProgressStream checks the NDJSON event stream stays parseable
-// and consistent with the service event spine across a faulty run.
+// TestChaosProgressStream checks the NDJSON event stream a feed writes
+// from the coordinator's events stays parseable, in the shared event
+// vocabulary, across a faulty run, and that the merged event carries
+// the optimum's power (1/objective), not the objective itself.
 func TestChaosProgressStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	var buf strings.Builder
+	feed := event.NewFeed(&buf)
 	opts := testShardOptions(t, EnvFault+"=crash:slab1")
-	opts.Progress = &buf
-	if _, err := Run(testNetwork(), testCoreOptions(), opts); err != nil {
+	opts.OnEvent = func(ev event.Event) { feed.Emit(ev) }
+	res, err := Run(testNetwork(), testCoreOptions(), opts)
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	seen := map[string]int{}
 	seq := 0
+	var merged event.Event
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var e Event
+		var e event.Event
 		if err := jsonUnmarshalStrict(line, &e); err != nil {
 			t.Fatalf("bad event line %q: %v", line, err)
 		}
@@ -229,15 +235,21 @@ func TestChaosProgressStream(t *testing.T) {
 			t.Fatalf("event without timestamp: %q", line)
 		}
 		seen[e.Type]++
+		if e.Type == event.ShardMerged {
+			merged = e
+		}
 	}
-	for _, want := range []string{EventPlan, EventLaunched, EventRetry, EventDone, EventMerged} {
+	for _, want := range []string{event.ShardPlan, event.ShardLaunched, event.ShardRetry, event.ShardDone, event.ShardMerged} {
 		if seen[want] == 0 {
 			t.Fatalf("event stream missing %q: %v", want, seen)
 		}
 	}
+	if want := 1 / res.BestValue; merged.Power != want {
+		t.Fatalf("merged event power %v, want 1/BestValue = %v", merged.Power, want)
+	}
 }
 
-func jsonUnmarshalStrict(line string, e *Event) error {
+func jsonUnmarshalStrict(line string, e *event.Event) error {
 	dec := json.NewDecoder(strings.NewReader(line))
 	dec.DisallowUnknownFields()
 	return dec.Decode(e)

@@ -5,13 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/event"
+	"repro/internal/mva"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/power"
@@ -88,18 +89,15 @@ type Options struct {
 	KillGrace time.Duration
 	// PollEvery is the heartbeat/retry poll cadence; <= 0 means 50ms.
 	PollEvery time.Duration
-	// Progress, when non-nil, receives the NDJSON event stream (one
-	// flushed line per event).
-	Progress io.Writer
-	// OnEvent, when non-nil, receives every event in-process (windimd
-	// forwards them into its job event feed).
-	OnEvent func(Event)
+	// OnEvent, when non-nil, receives each occurrence once, as an
+	// unstamped event (seq and time are the receiver's event.Feed's to
+	// assign). windim-shard feeds its -progress stream and stderr lines
+	// from it, windimd its job event feed and log.
+	OnEvent func(event.Event)
 	// Context, when non-nil, bounds the run: on cancellation the
 	// coordinator drains — terminates every live worker so each
 	// checkpoints its current slab — and returns the cause.
 	Context context.Context
-	// Logf, when non-nil, receives human-oriented progress lines.
-	Logf func(format string, args ...any)
 }
 
 func (o *Options) fillDefaults() {
@@ -127,8 +125,8 @@ func (o *Options) fillDefaults() {
 	if o.PollEvery <= 0 {
 		o.PollEvery = 50 * time.Millisecond
 	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
+	if o.OnEvent == nil {
+		o.OnEvent = func(event.Event) {}
 	}
 }
 
@@ -225,7 +223,7 @@ func Run(n *netmodel.Network, copts core.Options, opts Options) (*Result, error)
 		ctx = context.Background()
 	}
 
-	c := &coordinator{opts: opts, ctx: ctx, ev: newEventLog(opts.Progress, opts.OnEvent)}
+	c := &coordinator{opts: opts, ctx: ctx}
 	for _, h := range opts.Transport.Hosts() {
 		c.hosts = append(c.hosts, hostCtl{name: h})
 	}
@@ -240,7 +238,6 @@ func Run(n *netmodel.Network, copts core.Options, opts Options) (*Result, error)
 type coordinator struct {
 	opts Options
 	ctx  context.Context
-	ev   *eventLog
 	m    *Manifest
 	hash string
 
@@ -313,9 +310,7 @@ func (c *coordinator) plan(n *netmodel.Network, copts core.Options) (*Manifest, 
 	} else if err := durable.WriteFile(path, data); err != nil {
 		return nil, nil, err
 	}
-	c.ev.emit(Event{Type: EventPlan, Slab: -1, Slabs: len(m.Slabs), Axis: m.Axis})
-	c.opts.Logf("shard: %d slabs on axis %d over box %v..%v (%s transport, %d hosts)",
-		len(m.Slabs), m.Axis, m.Lo, m.Hi, c.opts.Transport.Name(), len(c.hosts))
+	c.opts.OnEvent(event.Event{Type: event.ShardPlan, Slabs: len(m.Slabs), Axis: event.Int(m.Axis)})
 	return m, data, nil
 }
 
@@ -325,13 +320,13 @@ func buildManifest(n *netmodel.Network, copts core.Options, opts *Options) (*Man
 	if err != nil {
 		return nil, err
 	}
-	evName, err := evaluatorName(copts.Evaluator)
-	if err != nil {
-		return nil, err
+	evName, objName := copts.Evaluator.Name(), copts.Objective.Name()
+	if evName == "" || objName == "" {
+		return nil, fmt.Errorf("shard: unserialisable evaluator %v or objective %v", copts.Evaluator, copts.Objective)
 	}
-	objName, err := objectiveName(copts.Objective)
-	if err != nil {
-		return nil, err
+	amva := ""
+	if copts.Evaluator != core.EvalExactMVA {
+		amva = mva.Revision
 	}
 	dim := len(n.Classes)
 	if dim == 0 {
@@ -375,6 +370,7 @@ func buildManifest(n *netmodel.Network, copts core.Options, opts *Options) (*Man
 		Network:     json.RawMessage(spec),
 		Evaluator:   evName,
 		Objective:   objName,
+		AMVA:        amva,
 		ExactEngine: copts.ExactEngine,
 		NoFallback:  copts.DisableFallback,
 		Workers:     copts.Workers,
@@ -448,18 +444,16 @@ func (c *coordinator) recover() {
 				s.status = slabDone
 				s.result = res
 				c.res.Recovered++
-				c.ev.emit(Event{Type: EventRecovered, Slab: k, Epoch: res.Epoch,
-					Windows: res.Best, Power: float64(res.BestValue)})
-				c.opts.Logf("shard: slab %d recovered from spool", k)
+				c.opts.OnEvent(event.Event{Type: event.ShardRecovered, Slab: event.Int(k), Epoch: res.Epoch,
+					Windows: res.Best, Power: event.Power(float64(res.BestValue))})
 				continue
 			}
 			c.quarantine(k, verr)
 		}
 		if lerr == nil && lease.LiveAt(now) {
 			s.status = slabAdopted
-			c.ev.emit(Event{Type: EventAdopted, Slab: k, Epoch: lease.Epoch})
-			c.opts.Logf("shard: slab %d adopted (lease epoch %d, owner %s, renewed %s ago)",
-				k, lease.Epoch, lease.Owner, now.Sub(lease.Renewed).Round(time.Millisecond))
+			c.opts.OnEvent(event.Event{Type: event.ShardAdopted, Slab: event.Int(k), Epoch: lease.Epoch,
+				Owner: lease.Owner, LeaseAgeMS: now.Sub(lease.Renewed).Milliseconds()})
 		}
 	}
 }
@@ -494,8 +488,7 @@ func (c *coordinator) quarantine(k int, cause error) {
 		_ = os.Remove(path)
 	}
 	c.res.Quarantined++
-	c.ev.emit(Event{Type: EventQuarantine, Slab: k, Error: cause.Error()})
-	c.opts.Logf("shard: slab %d result quarantined: %v", k, cause)
+	c.opts.OnEvent(event.Event{Type: event.ShardQuarantine, Slab: event.Int(k), Error: cause.Error()})
 }
 
 func (c *coordinator) settled() bool {
@@ -582,8 +575,7 @@ func (c *coordinator) hostFail(name string, cause error) error {
 	if h.fails >= hostLostAfter {
 		h.lost = true
 		c.res.HostsLost = append(c.res.HostsLost, name)
-		c.ev.emit(Event{Type: EventHostLost, Slab: -1, Host: name, Error: cause.Error()})
-		c.opts.Logf("shard: host %s lost after %d consecutive failures: %v", name, h.fails, cause)
+		c.opts.OnEvent(event.Event{Type: event.ShardHostLost, Host: name, Failures: h.fails, Error: cause.Error()})
 		alive := 0
 		for i := range c.hosts {
 			if !c.hosts[i].lost {
@@ -602,9 +594,8 @@ func (c *coordinator) hostFail(name string, cause error) error {
 	if h.fails >= hostDownAfter {
 		delay := backoff.Delay(h.fails - hostDownAfter)
 		h.until = time.Now().Add(delay)
-		c.ev.emit(Event{Type: EventHostDown, Slab: -1, Host: name,
+		c.opts.OnEvent(event.Event{Type: event.ShardHostDown, Host: name, Failures: h.fails,
 			Error: cause.Error(), BackoffMS: delay.Milliseconds()})
-		c.opts.Logf("shard: host %s blacklisted for %v after %d failures: %v", name, delay, h.fails, cause)
 	}
 	return nil
 }
@@ -672,8 +663,8 @@ func (c *coordinator) launch(k int, host string, exits chan workerExit) error {
 	s.status = slabRunning
 	s.attempts++
 	s.att = &attempt{handle: h, host: host, epoch: epoch, lastSeen: time.Now()}
-	c.ev.emit(Event{Type: EventLaunched, Slab: k, Attempt: s.attempts, Host: host, Epoch: epoch})
-	c.opts.Logf("shard: slab %d launched on %s (attempt %d, epoch %d, pid %d)", k, host, s.attempts, epoch, h.Pid())
+	c.opts.OnEvent(event.Event{Type: event.ShardLaunched, Slab: event.Int(k), Attempt: s.attempts,
+		Host: host, Epoch: epoch, Pid: h.Pid()})
 	att := s.att
 	go func() { exits <- workerExit{slab: k, att: att, err: h.Wait()} }()
 	return nil
@@ -706,7 +697,7 @@ func (c *coordinator) handleExit(we workerExit) error {
 
 	if we.att.killed {
 		c.res.Reassigned++
-		c.ev.emit(Event{Type: EventReassigned, Slab: we.slab, Attempt: s.attempts, Host: we.att.host})
+		c.opts.OnEvent(event.Event{Type: event.ShardReassigned, Slab: event.Int(we.slab), Attempt: s.attempts, Host: we.att.host})
 		return c.fail(we.slab, fmt.Errorf("no heartbeat progress within %v; worker killed", c.opts.SlabDeadline))
 	}
 	if we.err == nil {
@@ -716,9 +707,8 @@ func (c *coordinator) handleExit(we workerExit) error {
 			if verr == nil {
 				s.status = slabDone
 				s.result = res
-				c.ev.emit(Event{Type: EventDone, Slab: we.slab, Attempt: s.attempts,
-					Host: we.att.host, Epoch: res.Epoch, Windows: res.Best, Power: float64(res.BestValue)})
-				c.opts.Logf("shard: slab %d done (best %v, value %v)", we.slab, res.Best, float64(res.BestValue))
+				c.opts.OnEvent(event.Event{Type: event.ShardDone, Slab: event.Int(we.slab), Attempt: s.attempts,
+					Host: we.att.host, Epoch: res.Epoch, Windows: res.Best, Power: event.Power(float64(res.BestValue))})
 				return nil
 			}
 			c.quarantine(we.slab, verr)
@@ -734,7 +724,7 @@ func (c *coordinator) handleExit(we workerExit) error {
 		// The worker found itself superseded (or could not prove
 		// ownership) and stopped cleanly — the fence doing its job.
 		c.res.Fenced++
-		c.ev.emit(Event{Type: EventFenced, Slab: we.slab, Attempt: s.attempts,
+		c.opts.OnEvent(event.Event{Type: event.ShardFenced, Slab: event.Int(we.slab), Attempt: s.attempts,
 			Host: we.att.host, Epoch: we.att.epoch})
 		return c.fail(we.slab, fmt.Errorf("worker self-fenced (lost lease ownership)"))
 	}
@@ -752,16 +742,14 @@ func (c *coordinator) fail(k int, cause error) error {
 		delay := backoff.Delay(s.failures - 1)
 		s.status = slabPending
 		s.notBefore = time.Now().Add(delay)
-		c.ev.emit(Event{Type: EventRetry, Slab: k, Attempt: s.attempts,
+		c.opts.OnEvent(event.Event{Type: event.ShardRetry, Slab: event.Int(k), Attempt: s.attempts,
 			Error: cause.Error(), BackoffMS: delay.Milliseconds()})
-		c.opts.Logf("shard: slab %d attempt %d failed (%v); retry in %v", k, s.attempts, cause, delay)
 		return nil
 	}
 	s.status = slabLost
 	reason := fmt.Sprintf("%d attempts failed; last: %v", s.failures, cause)
 	c.res.Degraded = append(c.res.Degraded, Degraded{Slab: k, Reason: reason})
-	c.ev.emit(Event{Type: EventLost, Slab: k, Attempt: s.attempts, Error: reason})
-	c.opts.Logf("shard: slab %d lost: %s", k, reason)
+	c.opts.OnEvent(event.Event{Type: event.ShardLost, Slab: event.Int(k), Attempt: s.attempts, Error: reason})
 	if len(c.res.Degraded) > c.opts.AllowLost {
 		return fmt.Errorf("%w: %d slabs lost exceeds the degradation quota %d; slab %d: %v",
 			ErrBudget, len(c.res.Degraded), c.opts.AllowLost, k, cause)
@@ -788,9 +776,8 @@ func (c *coordinator) checkHeartbeats() error {
 				s.att = nil // the late exit, if it ever comes, is ignored
 				s.status = slabPending
 				c.res.Superseded++
-				c.ev.emit(Event{Type: EventSuperseded, Slab: k, Attempt: s.attempts,
+				c.opts.OnEvent(event.Event{Type: event.ShardSuperseded, Slab: event.Int(k), Attempt: s.attempts,
 					Host: att.host, Epoch: att.epoch})
-				c.opts.Logf("shard: slab %d worker on %s unreachable %v after kill; superseding", k, att.host, c.opts.KillGrace)
 				if err := c.hostFail(att.host, fmt.Errorf("kill produced no exit within %v", c.opts.KillGrace)); err != nil {
 					return err
 				}
@@ -812,8 +799,7 @@ func (c *coordinator) checkHeartbeats() error {
 		if now.Sub(s.att.lastSeen) > c.opts.SlabDeadline {
 			s.att.killed = true
 			s.att.killedAt = now
-			c.ev.emit(Event{Type: EventDeadline, Slab: k, Attempt: s.attempts, Host: s.att.host})
-			c.opts.Logf("shard: slab %d heartbeat stalled; killing worker on %s", k, s.att.host)
+			c.opts.OnEvent(event.Event{Type: event.ShardDeadline, Slab: event.Int(k), Attempt: s.attempts, Host: s.att.host})
 			_ = s.att.handle.Kill()
 		}
 	}
@@ -844,9 +830,8 @@ func (c *coordinator) checkAdopted() error {
 				s.status = slabDone
 				s.result = res
 				c.res.Adopted++
-				c.ev.emit(Event{Type: EventDone, Slab: k, Epoch: res.Epoch,
-					Windows: res.Best, Power: float64(res.BestValue)})
-				c.opts.Logf("shard: slab %d completed by adopted worker (epoch %d)", k, res.Epoch)
+				c.opts.OnEvent(event.Event{Type: event.ShardDone, Slab: event.Int(k), Epoch: res.Epoch,
+					Windows: res.Best, Power: event.Power(float64(res.BestValue))})
 				continue
 			}
 			c.quarantine(k, verr)
@@ -868,8 +853,7 @@ func (c *coordinator) checkAdopted() error {
 		}
 		s.status = slabPending
 		c.res.Reassigned++
-		c.ev.emit(Event{Type: EventReassigned, Slab: k, Epoch: s.epoch, Error: cause.Error()})
-		c.opts.Logf("shard: slab %d reclaimed from adopted owner: %v", k, cause)
+		c.opts.OnEvent(event.Event{Type: event.ShardReassigned, Slab: event.Int(k), Epoch: s.epoch, Error: cause.Error()})
 		if err := c.fail(k, cause); err != nil {
 			return err
 		}
@@ -883,7 +867,7 @@ func (c *coordinator) checkAdopted() error {
 // simply never arrive, and a drain must not hang on it (the lease fence
 // terminates the remnant).
 func (c *coordinator) drain(exits chan workerExit) {
-	c.ev.emit(Event{Type: EventDrain, Slab: -1})
+	c.opts.OnEvent(event.Event{Type: event.ShardDrain})
 	live := 0
 	for k := range c.slabs {
 		if s := &c.slabs[k]; s.status == slabRunning && s.att != nil {
@@ -907,7 +891,8 @@ func (c *coordinator) drain(exits chan workerExit) {
 				// reach. Abandon the attempts rather than wait forever.
 				for k := range c.slabs {
 					if s := &c.slabs[k]; s.status == slabRunning && s.att != nil {
-						c.opts.Logf("shard: abandoning unreachable worker on %s (slab %d)", s.att.host, k)
+						c.opts.OnEvent(event.Event{Type: event.ShardAbandoned, Slab: event.Int(k), Attempt: s.attempts,
+							Host: s.att.host, Epoch: s.att.epoch})
 						s.att = nil
 						s.status = slabPending
 						live--
@@ -924,7 +909,7 @@ func (c *coordinator) drain(exits chan workerExit) {
 			grace = time.After(c.opts.KillGrace)
 		}
 	}
-	c.opts.Logf("shard: drained; every reachable slab checkpointed")
+	c.opts.OnEvent(event.Event{Type: event.ShardDrained})
 }
 
 // merge folds the surviving slab optima with the deterministic
@@ -967,7 +952,6 @@ func (c *coordinator) merge(n *netmodel.Network, copts core.Options) (*Result, e
 		return nil, err
 	}
 	c.res.Metrics = m
-	c.ev.emit(Event{Type: EventMerged, Slab: -1, Windows: best, Power: bestV})
-	c.opts.Logf("shard: merged optimum %v (value %v)", best, bestV)
+	c.opts.OnEvent(event.Event{Type: event.ShardMerged, Windows: best, Power: event.Power(bestV)})
 	return &c.res, nil
 }

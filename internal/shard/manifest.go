@@ -46,6 +46,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/mva"
 	"repro/internal/netmodel"
 	"repro/internal/numeric"
 	"repro/internal/pattern"
@@ -113,10 +114,15 @@ type Manifest struct {
 	Kind    string `json:"kind"`
 	// Network is the netmodel JSON spec of the network being dimensioned.
 	Network json.RawMessage `json:"network"`
-	// Evaluator and Objective are the CLI-canonical names (sigma,
-	// schweitzer, linearizer, exact; power, min-class, sum-class).
-	Evaluator   string `json:"evaluator"`
-	Objective   string `json:"objective"`
+	// Evaluator and Objective are the option names (core.ParseEvaluator,
+	// core.ParseObjective).
+	Evaluator string `json:"evaluator"`
+	Objective string `json:"objective"`
+	// AMVA is the fixed-point iteration's revision (mva.Revision) for the
+	// approximate evaluators, empty for exact, by the rule of the core
+	// checkpoint hash: a spool planned under another iteration is refused
+	// rather than merging slab optima from two solvers.
+	AMVA        string `json:"amva,omitempty"`
 	ExactEngine bool   `json:"exact_engine,omitempty"`
 	NoFallback  bool   `json:"no_fallback,omitempty"`
 	// Workers is the per-worker search parallelism (goroutines inside one
@@ -160,10 +166,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if len(m.Network) == 0 || string(m.Network) == "null" {
 		return nil, fmt.Errorf("shard: manifest has no network spec")
 	}
-	if _, err := parseEvaluator(m.Evaluator); err != nil {
-		return nil, err
-	}
-	if _, err := parseObjective(m.Objective); err != nil {
+	if _, err := m.coreOptions(); err != nil {
 		return nil, err
 	}
 	dim := len(m.Lo)
@@ -214,13 +217,16 @@ func (m *Manifest) network() (*netmodel.Network, error) {
 
 // coreOptions reconstructs the evaluation options a worker runs with.
 func (m *Manifest) coreOptions() (core.Options, error) {
-	ev, err := parseEvaluator(m.Evaluator)
+	ev, err := core.ParseEvaluator(m.Evaluator)
 	if err != nil {
-		return core.Options{}, err
+		return core.Options{}, fmt.Errorf("shard: %w", err)
 	}
-	obj, err := parseObjective(m.Objective)
+	obj, err := core.ParseObjective(m.Objective)
 	if err != nil {
-		return core.Options{}, err
+		return core.Options{}, fmt.Errorf("shard: %w", err)
+	}
+	if m.AMVA != "" && m.AMVA != mva.Revision {
+		return core.Options{}, fmt.Errorf("shard: manifest planned under AMVA revision %q; this binary runs %q", m.AMVA, mva.Revision)
 	}
 	return core.Options{
 		Evaluator:       ev,
@@ -240,58 +246,6 @@ func (m *Manifest) slabBox(k int) (lo, hi numeric.IntVector) {
 	lo[m.Axis] = m.Slabs[k].From
 	hi[m.Axis] = m.Slabs[k].To
 	return lo, hi
-}
-
-func parseEvaluator(s string) (core.Evaluator, error) {
-	switch s {
-	case "sigma":
-		return core.EvalSigmaMVA, nil
-	case "schweitzer":
-		return core.EvalSchweitzerMVA, nil
-	case "linearizer":
-		return core.EvalLinearizerMVA, nil
-	case "exact":
-		return core.EvalExactMVA, nil
-	}
-	return 0, fmt.Errorf("shard: unknown evaluator %q", s)
-}
-
-func evaluatorName(e core.Evaluator) (string, error) {
-	switch e {
-	case core.EvalSigmaMVA:
-		return "sigma", nil
-	case core.EvalSchweitzerMVA:
-		return "schweitzer", nil
-	case core.EvalLinearizerMVA:
-		return "linearizer", nil
-	case core.EvalExactMVA:
-		return "exact", nil
-	}
-	return "", fmt.Errorf("shard: unserialisable evaluator %v", e)
-}
-
-func parseObjective(s string) (core.ObjectiveKind, error) {
-	switch s {
-	case "power":
-		return core.ObjNetworkPower, nil
-	case "min-class":
-		return core.ObjMinClassPower, nil
-	case "sum-class":
-		return core.ObjSumClassPower, nil
-	}
-	return 0, fmt.Errorf("shard: unknown objective %q", s)
-}
-
-func objectiveName(o core.ObjectiveKind) (string, error) {
-	switch o {
-	case core.ObjNetworkPower:
-		return "power", nil
-	case core.ObjMinClassPower:
-		return "min-class", nil
-	case core.ObjSumClassPower:
-		return "sum-class", nil
-	}
-	return "", fmt.Errorf("shard: unserialisable objective %v", o)
 }
 
 // SlabResult is one slab's final optimum, written durably by the worker

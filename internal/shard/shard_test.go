@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/event"
+	"repro/internal/mva"
 	"repro/internal/netmodel"
 	"repro/internal/topo"
 )
@@ -48,7 +50,7 @@ func testShardOptions(t *testing.T, extraEnv ...string) Options {
 		MaxRetries:   2,
 		SlabDeadline: time.Minute,
 		PollEvery:    10 * time.Millisecond,
-		Logf:         t.Logf,
+		OnEvent:      func(ev event.Event) { t.Log(ev) },
 	}
 }
 
@@ -390,6 +392,58 @@ func TestSpoolRejectsDifferentSearch(t *testing.T) {
 	_, err := Run(testNetwork(), copts, opts)
 	if err == nil || !strings.Contains(err.Error(), "different search") {
 		t.Fatalf("reusing the spool for a different search: err = %v", err)
+	}
+}
+
+// TestManifestAMVARevision: approximate-evaluator manifests name the
+// fixed-point iteration (mva.Revision), by the rule of the core
+// checkpoint hash, while exact-evaluator manifests stay byte-identical
+// to those planned before the field existed. A spool planned under
+// another iteration is refused, by the coordinator and by a worker.
+func TestManifestAMVARevision(t *testing.T) {
+	plan := func(ev core.Evaluator) (*Manifest, []byte) {
+		t.Helper()
+		copts := testCoreOptions()
+		copts.Evaluator = ev
+		m, err := buildManifest(testNetwork(), copts, &Options{Slabs: 3, Axis: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.MarshalIndent(m, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, append(data, '\n')
+	}
+	// The hash of the same exact-evaluator manifest before the amva field.
+	if m, data := plan(core.EvalExactMVA); m.AMVA != "" ||
+		Hash(data) != "a572d386f8ee8f2a7025d4fc19c19a366e7c35185a5076cd00862155e98a50c1" {
+		t.Fatalf("exact-evaluator manifest changed: amva %q, hash %s", m.AMVA, Hash(data))
+	}
+	m, _ := plan(core.EvalSigmaMVA)
+	if m.AMVA != mva.Revision {
+		t.Fatalf("sigma manifest amva %q, want %q", m.AMVA, mva.Revision)
+	}
+
+	m.AMVA = "an-older-iteration"
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, '\n')
+	if _, err := ParseManifest(data); err == nil || !strings.Contains(err.Error(), "AMVA revision") {
+		t.Fatalf("worker accepted a manifest of another iteration: err = %v", err)
+	}
+	opts := testShardOptions(t)
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ManifestPath(opts.Dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(testNetwork(), testCoreOptions(), opts)
+	if err == nil || !strings.Contains(err.Error(), "holds a different search's manifest") {
+		t.Fatalf("spool of another iteration: err = %v", err)
 	}
 }
 
