@@ -6,6 +6,10 @@
 //	netsim -spec net.json -windows 0,0 -buffers 4 -source backlogged
 //	netsim -example canada4 -windows 1,1,1,4 -permits 10
 //	netsim -example canada2 -windows 4,4 -faults faults.json
+//	netsim -topo mesh:64,64,32 -topo-seed 1 -duration 100 -warmup 10
+//
+// -topo generates a synthetic topology (clos:L,S,C | scalefree:N,M,C |
+// mesh:N,E,C, seeded by -topo-seed) exactly as windim -topo does.
 //
 // A -faults file injects deterministic off-nominal windows (channel
 // outages, service-rate degradations, per-class traffic surges) into
@@ -39,6 +43,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
 	spec := fs.String("spec", "", "JSON network spec file")
 	example := fs.String("example", "", "built-in example: canada2, canada4, tandemN")
+	topoSpec := fs.String("topo", "", "generate a synthetic topology: clos:L,S,C | scalefree:N,M,C | mesh:N,E,C")
+	topoSeed := fs.Uint64("topo-seed", 1, "seed for -topo (same spec and seed, same network)")
 	rates := fs.String("rates", "", "override class arrival rates, e.g. 20,20")
 	windows := fs.String("windows", "", "window vector, e.g. 4,4 (0 disables control for a class)")
 	duration := fs.Float64("duration", 5000, "simulated seconds")
@@ -67,7 +73,18 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := cliutil.LoadNetwork(*spec, *example, rateVec)
+	var n *netmodel.Network
+	if *topoSpec != "" {
+		if *spec != "" || *example != "" {
+			return fmt.Errorf("-topo is mutually exclusive with -spec and -example")
+		}
+		if rateVec != nil {
+			return fmt.Errorf("-rates does not apply to -topo (generated rates are utilisation-scaled)")
+		}
+		n, err = cliutil.ParseTopo(*topoSpec, *topoSeed)
+	} else {
+		n, err = cliutil.LoadNetwork(*spec, *example, rateVec)
+	}
 	if err != nil {
 		return err
 	}

@@ -127,3 +127,21 @@ func TestRunProfileFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTopo: -topo generates the network through the same parser as
+// windim -topo, and refuses to be combined with another network source.
+func TestRunTopo(t *testing.T) {
+	if err := run([]string{"-topo", "mesh:12,6,4", "-topo-seed", "3",
+		"-duration", "50", "-warmup", "5"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-topo", "mesh:12,6,4", "-example", "canada2"}); err == nil {
+		t.Error("-topo with -example accepted")
+	}
+	if err := run([]string{"-topo", "mesh:12,6,4", "-rates", "1,2,3,4"}); err == nil {
+		t.Error("-topo with -rates accepted")
+	}
+	if err := run([]string{"-topo", "ring:3,3,3"}); err == nil {
+		t.Error("unknown topology family accepted")
+	}
+}

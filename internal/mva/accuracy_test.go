@@ -119,6 +119,52 @@ func TestApproximatePowerAccuracy(t *testing.T) {
 	}
 }
 
+// TestLinearizerPowerAccuracy is the same tolerance contract for the
+// Linearizer, as a regression guard: over the whole suite, its power at
+// the default Tol is within 1e-7 relative of its power at Tol 1e-13, and
+// the final full-population core takes at most 32 iterations on average
+// (30.4 when this guard was added; the worst error was then 1.8e-8). The
+// Linearizer's cores stop on the throughputs alone, yet the suite finds
+// none of the queue-length blind spot that rule once left in Approximate.
+func TestLinearizerPowerAccuracy(t *testing.T) {
+	const (
+		maxRelErr    = 1e-7
+		maxMeanIters = 32.0
+	)
+	models := accuracyModels(t)
+	iters := 0
+	worst := 0.0
+	for _, am := range models {
+		ref := linearizerPower(t, am, mva.Options{Tol: 1e-13})
+		got := linearizerPower(t, am, mva.Options{})
+		iters += got.iterations
+		rel := math.Abs(got.power-ref.power) / ref.power
+		worst = max(worst, rel)
+		if rel > maxRelErr {
+			t.Errorf("%s: power %v at default Tol, %v at Tol 1e-13 (relative error %.2g)",
+				am.name, got.power, ref.power, rel)
+		}
+	}
+	mean := float64(iters) / float64(len(models))
+	t.Logf("%d solves: worst relative power error %.2g, mean iterations %.2f", len(models), worst, mean)
+	if mean > maxMeanIters {
+		t.Errorf("mean iterations per solve %.2f exceeds %v", mean, maxMeanIters)
+	}
+}
+
+func linearizerPower(t *testing.T, am accuracyModel, opts mva.Options) solvedPower {
+	t.Helper()
+	sol, err := mva.Linearizer(am.net, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", am.name, err)
+	}
+	m, err := power.FromSolution(am.net, sol, am.excluded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solvedPower{m.Power, sol.Iterations}
+}
+
 type solvedPower struct {
 	power      float64
 	iterations int

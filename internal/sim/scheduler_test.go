@@ -13,8 +13,9 @@ import (
 // heap and a calendar queue (interleaved with pops where popAfter[i] is
 // set) and asserts the two produce the identical pop sequence — not just
 // a correctly ordered one. seq is assigned by each queue internally, so
-// agreement here pins down the full (at, seq) FIFO contract.
-func drainBoth(t *testing.T, name string, events []event, popAfter map[int]int) {
+// agreement here pins down the full (at, seq) FIFO contract. It returns
+// the drained calendar queue so callers can check its mode switches.
+func drainBoth(t *testing.T, name string, events []event, popAfter map[int]int) *calendarQueue {
 	t.Helper()
 	h := &heapQueue{}
 	c := newCalendarQueue()
@@ -42,6 +43,17 @@ func drainBoth(t *testing.T, name string, events []event, popAfter map[int]int) 
 	}
 	if !h.empty() || !c.empty() {
 		t.Fatalf("%s: queues not empty after draining all pushes", name)
+	}
+	return c
+}
+
+// wantSwitches asserts the calendar queue switched modes at least the
+// given number of times in each direction.
+func wantSwitches(t *testing.T, name string, c *calendarQueue, spills, collapses int) {
+	t.Helper()
+	if c.spills < spills || c.collapses < collapses {
+		t.Fatalf("%s: %d spills and %d collapses, want at least %d and %d",
+			name, c.spills, c.collapses, spills, collapses)
 	}
 }
 
@@ -140,6 +152,89 @@ func TestSchedulerPopSequenceAdversarial(t *testing.T) {
 			drainBoth(t, "random-interleaved", es, pops)
 		}
 	})
+
+	// The remaining cases cross the small/large mode boundary: small mode
+	// holds at most calSmallMax events, the push past it spills into the
+	// directory, and a pop leaving fewer than calCollapse collapses back.
+
+	t.Run("mode-oscillation", func(t *testing.T) {
+		// Each cycle climbs to 45 pending events and drains to 4. Times
+		// drift forward like a simulator clock but overlap the previous
+		// cycle, so pushes land behind events already served.
+		var es []event
+		pops := map[int]int{}
+		r := rand.New(rand.NewSource(7))
+		pending := 0
+		for cycle := 0; cycle < 8; cycle++ {
+			for k := 0; k < 45-pending; k++ {
+				es = append(es, mk(float64(cycle)*10+math.Trunc(r.Float64()*80)/4, len(es)))
+			}
+			pops[len(es)-1] = 41
+			pending = 4
+		}
+		c := drainBoth(t, "mode-oscillation", es, pops)
+		wantSwitches(t, "mode-oscillation", c, 8, 8)
+	})
+
+	t.Run("ties-straddle-spill", func(t *testing.T) {
+		// One timestamp fills the small array and keeps arriving through
+		// the spill, the pops down to the collapse, and the next spill:
+		// FIFO among the ties must survive both moves.
+		var es []event
+		pops := map[int]int{}
+		pending := 0
+		for cycle := 0; cycle < 4; cycle++ {
+			for k := 0; k < 40; k++ {
+				at := 5.0
+				if k%5 == 4 {
+					at = 5 + float64(k%3)
+				}
+				es = append(es, mk(at, len(es)))
+			}
+			pops[len(es)-1] = pending + 40 - 3 // down to 3 left
+			pending = 3
+		}
+		c := drainBoth(t, "ties-straddle-spill", es, pops)
+		wantSwitches(t, "ties-straddle-spill", c, 4, 4)
+	})
+
+	t.Run("outliers-across-modes", func(t *testing.T) {
+		// Far-future outliers enter in small mode and stay queued through
+		// every spill and collapse while near-term events churn below
+		// them; the spill's width estimate sees them each time.
+		var es []event
+		pops := map[int]int{}
+		es = append(es, mk(1e18, 0), mk(math.MaxFloat64/2, 1), mk(1e18, 2))
+		pending := 3
+		for cycle := 0; cycle < 5; cycle++ {
+			for k := 0; k < 36; k++ {
+				es = append(es, mk(float64(cycle)+float64(k)*1e-3, len(es)))
+			}
+			pops[len(es)-1] = pending + 36 - 5 // down to the 3 outliers plus 2
+			pending = 5
+		}
+		c := drainBoth(t, "outliers-across-modes", es, pops)
+		wantSwitches(t, "outliers-across-modes", c, 5, 5)
+	})
+
+	t.Run("push-behind-scan-large", func(t *testing.T) {
+		// Spill, pop deep into the directory while staying in large
+		// mode, then push behind the scan, repeatedly.
+		var es []event
+		pops := map[int]int{}
+		for i := 0; i < 60; i++ {
+			es = append(es, mk(100+float64(i), i))
+		}
+		pops[59] = 30
+		for round := 0; round < 5; round++ {
+			for k := 0; k < 20; k++ {
+				es = append(es, mk(float64(round*20+k)/3, len(es)))
+			}
+			pops[len(es)-1] = 15
+		}
+		c := drainBoth(t, "push-behind-scan-large", es, pops)
+		wantSwitches(t, "push-behind-scan-large", c, 1, 1)
+	})
 }
 
 // sameResult asserts two Results are bit-identical: every float compared
@@ -197,11 +292,58 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// meshLarge is the large-population workload: a 64-node mesh with 32
+// classes at window 8, acknowledgement delay and background traffic on
+// every channel keep about 200 events pending (161-235 at seed 1), so
+// the calendar runs its bucket directory, not its small array.
+func meshLarge(t testing.TB) (*netmodel.Network, Config) {
+	t.Helper()
+	n, err := topo.Mesh(64, 64, 32, topo.GenConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range n.Classes {
+		n.Classes[r].AckDelay = 0.05
+	}
+	for l := range n.Channels {
+		n.Channels[l].Background = 0.2
+	}
+	w := make([]int, len(n.Classes))
+	for r := range w {
+		w[r] = 8
+	}
+	return n, Config{Windows: w, Duration: 60, Warmup: 10}
+}
+
+// outageDrain is the mode-crossing workload: one tandem class whose
+// window of 40 rides on propagation and acknowledgement delays (about 40
+// events pending), drained to one or two pending events by every
+// repeated outage of the first channel. The calendar spills and
+// collapses once per outage.
+func outageDrain(t testing.TB) (*netmodel.Network, Config) {
+	t.Helper()
+	n, err := topo.Tandem(3, 50000, 40, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Classes[0].AckDelay = 0.5
+	for l := range n.Channels {
+		n.Channels[l].PropDelay = 0.2
+	}
+	var outages []Outage
+	for at := 15.0; at < 60; at += 10 {
+		outages = append(outages, Outage{Channel: 0, Start: at, End: at + 4})
+	}
+	return n, Config{Windows: []int{40}, Duration: 60, Warmup: 10, Faults: &FaultSpec{Outages: outages}}
+}
+
 // schedulerMatrix is the bit-identity workload set: each entry
 // deliberately lights up a different subsystem (source models, length
 // distributions, bursty modulation, finite buffers, isarithmic permits,
 // propagation delay, background traffic, faults), so the fused calendar
-// run loop in state.run is exercised through every event kind.
+// run loop in state.run is exercised through every event kind. The last
+// two entries drive the calendar's large mode end to end and across the
+// mode boundary.
 func schedulerMatrix(t *testing.T) []struct {
 	name string
 	n    *netmodel.Network
@@ -224,6 +366,8 @@ func schedulerMatrix(t *testing.T) []struct {
 	for l := range prop.Channels {
 		prop.Channels[l].PropDelay = 0.03
 	}
+	mesh, meshCfg := meshLarge(t)
+	drain, drainCfg := outageDrain(t)
 	base := Config{Duration: 60, Warmup: 10}
 	with := func(f func(*Config)) Config {
 		c := base
@@ -275,6 +419,40 @@ func schedulerMatrix(t *testing.T) []struct {
 				Surges:       []Surge{{Class: 2, Start: 15, End: 30, Factor: 3}},
 			}
 		})},
+		{"mesh-large", mesh, meshCfg},
+		{"outage-drain", drain, drainCfg},
+	}
+}
+
+// TestSchedulerModeSwitches proves the last two matrix entries reach the
+// paths they are there for: the mesh spills into the directory and
+// stays there (its population never falls below 161), and the outage
+// workload spills and collapses around every outage.
+func TestSchedulerModeSwitches(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		build             func(testing.TB) (*netmodel.Network, Config)
+		spills, collapses int
+		stays             bool // never collapses once spilled
+	}{
+		{"mesh-large", meshLarge, 1, 0, true},
+		{"outage-drain", outageDrain, 4, 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, cfg := tc.build(t)
+			ru, err := NewRunner(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ru.Run(1); err != nil {
+				t.Fatal(err)
+			}
+			q := ru.st.calQ
+			wantSwitches(t, tc.name, q, tc.spills, tc.collapses)
+			if tc.stays && (q.collapses != 0 || q.smallLim != 0) {
+				t.Fatalf("%s: left the directory after spilling (%d collapses)", tc.name, q.collapses)
+			}
+		})
 	}
 }
 
@@ -339,41 +517,63 @@ func TestRunnerReuseBitIdentity(t *testing.T) {
 	}
 }
 
-// TestZeroAllocSteadyState asserts the throttled steady-state event loop
-// allocates nothing per event. The runner first executes the seed's full
-// trajectory once so every pooled structure (message slab, channel rings,
-// calendar buckets, delay-sample slices) reaches its high-water capacity;
-// the same seed is then replayed and stepped through the measured window,
-// where any append that grows would be a regression the pool/ring designs
-// exist to prevent.
+// TestZeroAllocSteadyState asserts the steady-state event loop allocates
+// nothing per event, in the calendar's small mode (Canada-4), its large
+// mode (the mesh) and across its mode switches (the outage workload).
+// The runner first executes the seed's full trajectory once so every
+// pooled structure (message slab, channel rings, calendar directory,
+// delay-sample slices) reaches its high-water capacity; the same seed is
+// then replayed and stepped through the measured window, where any
+// append that grows would be a regression the pool/ring designs exist
+// to prevent.
 func TestZeroAllocSteadyState(t *testing.T) {
-	n := topo.Canada4Class(9.957, 4.419, 7.656, 7.968)
-	cfg := Config{Windows: []int{4, 4, 3, 2}, Duration: 200, Warmup: 20}
-	ru, err := NewRunner(n, cfg)
-	if err != nil {
-		t.Fatal(err)
+	canada := func(testing.TB) (*netmodel.Network, Config) {
+		return topo.Canada4Class(9.957, 4.419, 7.656, 7.968),
+			Config{Windows: []int{4, 4, 3, 2}, Duration: 200, Warmup: 20}
 	}
-	const seed = 1
-	if _, err := ru.Run(seed); err != nil {
-		t.Fatal(err)
-	}
-	s := ru.st
-	s.reset(seed)
-	s.prime()
-	// Step past the warmup boundary (where stats.reset runs once) into
-	// steady state.
-	for s.clock < cfg.Warmup+10 {
-		if !s.step() {
-			t.Fatal("run ended before steady state")
-		}
-	}
-	const events = 2000
-	avg := testing.AllocsPerRun(events, func() {
-		if !s.step() {
-			t.Fatal("run ended inside measured window")
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state event loop allocates: %v allocs/event", avg)
+	for _, tc := range []struct {
+		name   string
+		build  func(testing.TB) (*netmodel.Network, Config)
+		events int
+	}{
+		{"canada4", canada, 2000},
+		{"mesh-large", meshLarge, 2000},
+		{"outage-drain", outageDrain, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, cfg := tc.build(t)
+			ru, err := NewRunner(n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const seed = 1
+			if _, err := ru.Run(seed); err != nil {
+				t.Fatal(err)
+			}
+			s := ru.st
+			s.reset(seed)
+			s.prime()
+			// Step past the warmup boundary (where stats.reset runs once)
+			// into steady state.
+			for s.clock < cfg.Warmup+10 {
+				if !s.step() {
+					t.Fatal("run ended before steady state")
+				}
+			}
+			// One measured run is the whole window, so even a single
+			// allocation in it fails the test (a per-event average would
+			// round a rare one, such as a mode switch's, down to zero).
+			// AllocsPerRun steps one unmeasured window first.
+			total := testing.AllocsPerRun(1, func() {
+				for k := 0; k < tc.events; k++ {
+					if !s.step() {
+						t.Fatal("run ended inside measured window")
+					}
+				}
+			})
+			if total != 0 {
+				t.Fatalf("steady-state event loop allocates: %v allocs in %d events", total, tc.events)
+			}
+		})
 	}
 }

@@ -371,9 +371,15 @@ func (s *state) freeMessage(mi int32) {
 
 // qPush, qPushMsg, qPop and qEmpty dispatch to the scheduler, calling
 // the calendar queue concretely when it is selected (see the calQ field).
+// The calendar's mode test is made here so that the small-mode push
+// inlines; see calendarQueue.
 func (s *state) qPush(at float64, kind eventKind, class, channel int) {
 	if q := s.calQ; q != nil {
-		q.pushMsg(at, kind, class, channel, msgNone)
+		if q.size < q.smallLim {
+			q.pushSmall(at, kind, class, channel, msgNone)
+		} else {
+			q.pushLarge(at, kind, class, channel, msgNone)
+		}
 		return
 	}
 	s.events.push(at, kind, class, channel)
@@ -381,7 +387,11 @@ func (s *state) qPush(at float64, kind eventKind, class, channel int) {
 
 func (s *state) qPushMsg(at float64, kind eventKind, class, channel int, msg int32) {
 	if q := s.calQ; q != nil {
-		q.pushMsg(at, kind, class, channel, msg)
+		if q.size < q.smallLim {
+			q.pushSmall(at, kind, class, channel, msg)
+		} else {
+			q.pushLarge(at, kind, class, channel, msg)
+		}
 		return
 	}
 	s.events.pushMsg(at, kind, class, channel, msg)
@@ -412,7 +422,12 @@ func (s *state) run() (*Result, error) {
 	if q := s.calQ; q != nil {
 		duration, warmup := s.cfg.Duration, s.cfg.Warmup
 		for q.size != 0 {
-			e := q.pop()
+			var e event
+			if q.smallLim != 0 {
+				e = q.popSmall()
+			} else {
+				e = q.popLarge()
+			}
 			if e.at > duration {
 				break
 			}
