@@ -23,7 +23,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"syscall"
 
 	"repro/internal/cliutil"
@@ -61,8 +60,7 @@ func run(args []string) error {
 	reps := fs.Int("reps", 1, "independent replications (each with a derived sub-seed); >1 reports replication means with 95% CIs")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole batch, e.g. 30s (0 = none); on expiry the completed replications are reported")
 	scheduler := fs.String("scheduler", "calendar", "event-queue implementation: calendar, heap (outputs are bit-identical; heap is the reference)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	prof := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,31 +94,11 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := prof.Start()
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "netsim:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "netsim:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 	cfg := sim.Config{
 		Windows:           wv,
 		Scheduler:         sched,

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/experiments"
 )
@@ -44,9 +45,15 @@ func run(args []string) error {
 	evaluator := fs.String("evaluator", "sigma", "candidate evaluator for the tables: sigma, schweitzer, linearizer, exact")
 	workers := fs.Int("workers", 1, "parallel candidate evaluations for the dimensioning runs")
 	jsonOut := fs.String("json", "", "run the benchmark suite and write machine-readable results to this file (- for stdout)")
+	prof := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	ev, err := core.ParseEvaluator(*evaluator)
 	if err != nil {
 		return err

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestRunIndividualSelections(t *testing.T) {
 	// The cheap selections run for real; 4.9/4.12/-all are covered by the
@@ -25,5 +29,25 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-flagless"}); err == nil {
 		t.Error("expected flag error")
+	}
+}
+
+// TestRunProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// profile of a table regeneration.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-table", "4.7", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("profile %s not written: %v", p, err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("profile %s is empty", p)
+		}
 	}
 }

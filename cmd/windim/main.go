@@ -108,9 +108,15 @@ func run(args []string) error {
 	resume := fs.String("resume", "", "resume the search from a checkpoint file written by a previous run with the same model and options")
 	exactEngine := fs.Bool("exact-engine", false, "serve exact evaluations from one shared incremental convolution lattice per search instead of a fresh recursion per candidate (exact-evaluator runs and the exact fallback tier)")
 	evalTimeout := fs.Duration("eval-timeout", 0, "per-candidate watchdog: a solve exceeding max(this, 8x the rolling mean solve time) is rerouted into the fallback chain (0 = off)")
+	prof := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := prof.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	rateVec, err := cliutil.ParseRates(*rates)
 	if err != nil {
 		return err

@@ -107,3 +107,23 @@ func TestRunGeneratedTopology(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// profile of a dimensioning run.
+func TestRunProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run([]string{"-topo", "mesh:24,24,12", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatalf("profile %s not written: %v", p, err)
+		}
+		if st.Size() == 0 {
+			t.Fatalf("profile %s is empty", p)
+		}
+	}
+}

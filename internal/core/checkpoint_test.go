@@ -185,12 +185,16 @@ func TestDimensionResumeRejectsOtherSolverRevision(t *testing.T) {
 	n := topo.Canada2Class(20, 20)
 	for _, tc := range []struct {
 		eval Evaluator
-		// hash of (n, Options{Evaluator: eval}) before the revision tag
-		// existed, under the λ-only stop without extrapolation
+		// hash of (n, Options{Evaluator: eval}) under an older iteration
 		before  string
 		resumes bool
 	}{
+		// before the revision tag existed, under the λ-only stop without
+		// extrapolation
 		{EvalSigmaMVA, "684e827338edb1b5b11721bf3dc9e92e1f84a151ef11963b081e10300cb6bb71", false},
+		// revision "extrapolated-full-state-stop": one fixed point over
+		// every chain, before the per-block rule
+		{EvalSigmaMVA, "f840850e94aad306218572b0e53086ae79604044f7a7fda2e8b704d431aec345", false},
 		{EvalExactMVA, "14869517dc29077faa75c62f60822d0dfb7462e7f3d4bf4f1d8581f31fb673c1", true},
 	} {
 		opts := Options{Evaluator: tc.eval}
@@ -199,7 +203,7 @@ func TestDimensionResumeRejectsOtherSolverRevision(t *testing.T) {
 			t.Fatal(err)
 		}
 		if (hash == tc.before) != tc.resumes {
-			t.Errorf("%v: hash %s, before the revision tag %s", tc.eval, hash, tc.before)
+			t.Errorf("%v: hash %s, under an older iteration %s", tc.eval, hash, tc.before)
 		}
 		path := filepath.Join(t.TempDir(), "windim.ckpt")
 		opts.CheckpointPath = path
@@ -216,7 +220,7 @@ func TestDimensionResumeRejectsOtherSolverRevision(t *testing.T) {
 		}
 		_, err = Dimension(n, Options{Evaluator: tc.eval, ResumePath: path})
 		if tc.resumes && err != nil {
-			t.Errorf("%v: checkpoint from before the revision tag rejected: %v", tc.eval, err)
+			t.Errorf("%v: checkpoint from an older iteration rejected: %v", tc.eval, err)
 		}
 		if !tc.resumes && !errors.Is(err, ErrResume) {
 			t.Errorf("%v: checkpoint from an older solver revision: err %v, want ErrResume", tc.eval, err)

@@ -250,16 +250,16 @@ func robustSweepCounts(t *testing.T, n *netmodel.Network, scenarios []Scenario) 
 	objective := func(x numeric.IntVector) (float64, error) {
 		worst := 0.0
 		for i, eng := range engines {
-			st := eng.pool.Get().(*evalState)
+			st := eng.borrow()
 			sol, _, err := eng.solve(st, x)
 			if err != nil {
-				eng.pool.Put(st)
+				eng.release(st)
 				return 0, err
 			}
 			search[i] = append(search[i], sol.Iterations)
 			eng.routes.MetricsInto(&st.metrics, sol)
 			worst = max(worst, objectiveValue(&st.metrics, ObjNetworkPower))
-			eng.pool.Put(st)
+			eng.release(st)
 		}
 		return worst, nil
 	}

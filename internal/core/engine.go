@@ -59,7 +59,14 @@ type Engine struct {
 	// numerical trouble) fall through to mva.ExactMultichain as before.
 	conv *convOracle
 	warm atomic.Pointer[mva.WarmStart]
-	pool sync.Pool
+	// free holds the evaluation states not currently borrowed; it grows
+	// only to the number of concurrent borrowers. A plain list rather
+	// than a sync.Pool: the runtime keeps a pool's contents until the
+	// second GC after its last use, so every dead Engine's states — model
+	// chains, workspaces with their dense Solution matrices — would stay
+	// marked live and set the heap goal (DESIGN §10).
+	mu   sync.Mutex
+	free []*evalState
 	// tiers counts successful evaluations per fallback tier (see
 	// FallbackTier). Atomic: Evaluate/ObjectiveValue run concurrently.
 	tiers [NumFallbackTiers]atomic.Int64
@@ -135,18 +142,35 @@ func NewEngine(n *netmodel.Network, opts Options) (*Engine, error) {
 			e.conv = cache.oracleFor(ref, opts.Workers)
 		}
 	}
-	e.pool.New = func() any {
-		st := &evalState{
-			model: qnet.Network{
-				Stations: e.ref.Stations,
-				Chains:   make([]qnet.Chain, len(e.ref.Chains)),
-			},
-			ws: mva.NewWorkspace(),
-		}
-		copy(st.model.Chains, e.ref.Chains)
+	return e, nil
+}
+
+// borrow takes a free evaluation state, or builds one when none is free.
+func (e *Engine) borrow() *evalState {
+	e.mu.Lock()
+	if n := len(e.free); n > 0 {
+		st := e.free[n-1]
+		e.free = e.free[:n-1]
+		e.mu.Unlock()
 		return st
 	}
-	return e, nil
+	e.mu.Unlock()
+	st := &evalState{
+		model: qnet.Network{
+			Stations: e.ref.Stations,
+			Chains:   make([]qnet.Chain, len(e.ref.Chains)),
+		},
+		ws: mva.NewWorkspace(),
+	}
+	copy(st.model.Chains, e.ref.Chains)
+	return st
+}
+
+// release returns a borrowed state to the free list.
+func (e *Engine) release(st *evalState) {
+	e.mu.Lock()
+	e.free = append(e.free, st)
+	e.mu.Unlock()
 }
 
 // solve borrows nothing: st is caller-owned. It sets the populations and
@@ -275,8 +299,8 @@ func (e *Engine) Evaluate(windows numeric.IntVector) (*power.Metrics, error) {
 // TierPrimary when the configured evaluator converged directly, a later
 // tier when the resilient chain rescued the candidate.
 func (e *Engine) EvaluateWithTier(windows numeric.IntVector) (*power.Metrics, FallbackTier, error) {
-	st := e.pool.Get().(*evalState)
-	defer e.pool.Put(st)
+	st := e.borrow()
+	defer e.release(st)
 	sol, tier, err := e.solveCounted(st, windows)
 	if err != nil {
 		return nil, tier, err
@@ -291,8 +315,8 @@ func (e *Engine) EvaluateWithTier(windows numeric.IntVector) (*power.Metrics, Fa
 // land in the pooled state's recycled slices, so a steady-state call
 // allocates nothing.
 func (e *Engine) ObjectiveValue(windows numeric.IntVector, kind ObjectiveKind) (float64, error) {
-	st := e.pool.Get().(*evalState)
-	defer e.pool.Put(st)
+	st := e.borrow()
+	defer e.release(st)
 	sol, _, err := e.solveCounted(st, windows)
 	if err != nil {
 		return 0, err
@@ -312,8 +336,8 @@ func (e *Engine) Commit(windows numeric.IntVector) {
 	if !e.useWarm {
 		return
 	}
-	st := e.pool.Get().(*evalState)
-	defer e.pool.Put(st)
+	st := e.borrow()
+	defer e.release(st)
 	sol, _, err := e.solve(st, windows)
 	if err != nil {
 		return

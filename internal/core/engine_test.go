@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -95,6 +96,61 @@ func TestEngineRejectsBadWindows(t *testing.T) {
 // raceEnabled is set by race_test.go; the race detector instruments
 // allocations, so counting them is only meaningful without it.
 var raceEnabled bool
+
+// TestEngineConcurrentBorrowers: goroutines evaluating one engine at once
+// each borrow their own state from the free list and get the serial
+// answers to the bit, and the free list holds no more states than there
+// were concurrent borrowers.
+func TestEngineConcurrentBorrowers(t *testing.T) {
+	n, err := topo.Mesh(24, 24, 12, topo.GenConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, perG = 4, 12
+	cands := make([]numeric.IntVector, goroutines*perG)
+	s := rng.New(5)
+	for k := range cands {
+		cands[k] = numeric.NewIntVector(len(n.Classes))
+		for r := range cands[k] {
+			cands[k][r] = 1 + s.Intn(6)
+		}
+	}
+	want := make([]float64, len(cands))
+	for k, w := range cands {
+		if want[k], err = eng.ObjectiveValue(w, ObjNetworkPower); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]float64, len(cands))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := g; k < len(cands); k += goroutines {
+				v, err := eng.ObjectiveValue(cands[k], ObjNetworkPower)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[k] = v
+			}
+		}(g)
+	}
+	wg.Wait()
+	for k := range cands {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Errorf("%v: concurrent objective %v, serial %v", cands[k], got[k], want[k])
+		}
+	}
+	if free := len(eng.free); free < 1 || free > goroutines {
+		t.Errorf("free list holds %d states after %d concurrent borrowers", free, goroutines)
+	}
+}
 
 func TestEngineObjectiveValueAllocs(t *testing.T) {
 	if raceEnabled {
@@ -296,7 +352,7 @@ func TestEngineRouteMetricsMatchFromSolution(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := eng.pool.Get().(*evalState)
+			st := eng.borrow()
 			s := rng.New(11)
 			for step := 0; step < 3; step++ {
 				w := numeric.NewIntVector(nCls)
@@ -326,7 +382,7 @@ func TestEngineRouteMetricsMatchFromSolution(t *testing.T) {
 				}
 				eng.Commit(w)
 			}
-			eng.pool.Put(st)
+			eng.release(st)
 		}
 	}
 }

@@ -137,8 +137,8 @@ func TestExactEngineFallbackTier(t *testing.T) {
 		t.Fatalf("oracle-rescued power %v vs exact %v", m.Power, exact.Power)
 	}
 	// The solver tag distinguishes the convolution rescue from the MVA one.
-	st := eng.pool.Get().(*evalState)
-	defer eng.pool.Put(st)
+	st := eng.borrow()
+	defer eng.release(st)
 	sol, tier2, err := eng.solve(st, w)
 	if err != nil || tier2 != TierExact {
 		t.Fatalf("re-solve: tier %v err %v", tier2, err)

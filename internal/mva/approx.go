@@ -68,14 +68,15 @@ type Options struct {
 	Method Method
 	Init   Initialization
 	// Tol is the convergence threshold (the APL program's CRIT).
-	// Approximate stops at a sweep whose throughput step and queue-length
-	// step are both below Tol, each measured as the Euclidean distance
-	// between successive vectors (the queue lengths over every visited
-	// (station, chain) pair); the sweep right after an extrapolation jump
-	// never stops it. The Linearizer cores stop on the throughput step
-	// alone. <= 0 means 1e-8.
+	// Approximate stops a block of chains at a sweep whose throughput
+	// step and queue-length step are both below Tol, each measured as the
+	// Euclidean distance between successive vectors over the block (the
+	// queue lengths over every visited (station, chain) pair); the sweep
+	// right after an extrapolation jump never stops it. The Linearizer
+	// cores stop on the throughput step alone. <= 0 means 1e-8.
 	Tol float64
-	// MaxIter bounds fixed-point sweeps. <= 0 means 10000.
+	// MaxIter bounds fixed-point sweeps (in Approximate, each block's).
+	// <= 0 means 10000.
 	MaxIter int
 	// Damping in (0, 1] scales queue-length updates: new = damping*new +
 	// (1-damping)*old. 0 means 1 (no damping). The undamped iteration
@@ -119,16 +120,17 @@ type Options struct {
 	// is terminal. This is the hook core's per-candidate watchdog uses: an
 	// overlong iteration is reported as a convergence failure, so the
 	// resilient fallback chain can rescue the candidate instead of the
-	// whole search dying with it. The sweep count at the poll is passed for
-	// diagnostics. nil means unbounded (MaxIter still applies).
+	// whole search dying with it. The sweep count at the poll (in
+	// Approximate, counted across blocks) is passed for diagnostics. nil
+	// means unbounded (MaxIter still applies).
 	SweepBudget func(sweeps int) bool
 }
 
-// sweepGate polls ctx and the sweep budget on the first sweep (so a solve
-// never starts against an already-dead context or an exhausted budget) and
-// every ctxPollInterval sweeps after that — a per-sweep check would put a
-// branch and an atomic load in the hot loop for no benefit; sweeps are
-// microseconds.
+// sweepGate polls ctx and the sweep budget on the first sweep of a solve
+// (so a solve never starts against an already-dead context or an
+// exhausted budget) and every ctxPollInterval sweeps after that — a
+// per-sweep check would put a branch and an atomic load in the hot loop
+// for no benefit; sweeps are microseconds.
 const ctxPollInterval = 128
 
 func sweepGate(opts *Options, iter int) error {
@@ -164,7 +166,7 @@ func (o Options) withDefaults() Options {
 // different revisions agree only to the tolerance, not bitwise, so
 // anything that stores their values for reuse (core's checkpoint
 // fingerprint) keys on it. Change it with any change to the iteration.
-const Revision = "extrapolated-full-state-stop"
+const Revision = "block-extrapolated-full-state-stop"
 
 // ErrNotConverged is wrapped in the error returned when the fixed point
 // fails to converge within MaxIter sweeps.
@@ -183,24 +185,35 @@ var ErrNotConverged = errors.New("mva: approximate MVA did not converge")
 // exactly the dense loops' non-zero terms in the dense loops' order, so
 // results are bit-identical to a dense evaluation.
 //
-// Each sweep takes the per-station queue-length totals once, then runs
-// STEPs 2–5 fused, one chain at a time. The fusion reorders nothing that
-// is read: chain r's σ reads only the pre-sweep throughputs (prev), STEP 3
-// reads only the pre-sweep totals, and chain r's own queue-length update
-// is read by no later chain in the same sweep — so the fused sweep is bit
-// for bit the step-by-step one.
+// The chains fall into independent blocks (qnet.Sparse.Block): chains in
+// different blocks share no non-IS station, so no state of one block
+// enters another's equations. Each block runs to its own fixed point, with
+// its own stop test and extrapolation history, in the order of
+// qnet.Sparse's block list; Solution.Iterations is the slowest block's
+// sweep count, and MaxIter bounds each block. A block seeded from a
+// converged solution it has not moved away from stops after one sweep,
+// however long another block takes. A connected network is one block,
+// and its solve is the single fixed point over every chain.
 //
-// The fixed point is extrapolated: once three plain sweeps show a steady
-// contraction ratio ρ of the full-state step norm hypot(‖Δλ‖, ‖Δq‖) —
-// the last two ratios within 10%, ρ < 0.9, the last two throughput steps
-// pointing the same way — λ and every queue length move by ρ/(1-ρ) times
-// their last step, unless that would take a throughput to zero or a queue
-// length below zero. The solve stops as Options.Tol describes, on the
-// queue-length step as well as the throughput step: stopping on the
-// throughput step alone is unsound even without jumps, since a
-// queue-length error mode can leave the throughputs nearly still (DESIGN
-// §10). Results are not bitwise equal to those of an older revision of
-// the iteration (see Revision).
+// Each sweep of a block takes the per-station queue-length totals over
+// the block's stations once, then runs STEPs 2–5 fused, one chain at a
+// time. The fusion reorders nothing that is read: chain r's σ reads only
+// the pre-sweep throughputs (prev), STEP 3 reads only the pre-sweep
+// totals, and chain r's own queue-length update is read by no later chain
+// in the same sweep — so the fused sweep is bit for bit the step-by-step
+// one.
+//
+// Each block's fixed point is extrapolated: once three plain sweeps show
+// a steady contraction ratio ρ of the full-state step norm
+// hypot(‖Δλ‖, ‖Δq‖) — the last two ratios within 10%, ρ < 0.9, the last
+// two throughput steps pointing the same way — λ and every queue length
+// move by ρ/(1-ρ) times their last step, unless that would take a
+// throughput to zero or a queue length below zero. A block stops as
+// Options.Tol describes, on the queue-length step as well as the
+// throughput step: stopping on the throughput step alone is unsound even
+// without jumps, since a queue-length error mode can leave the
+// throughputs nearly still (DESIGN §10). Results are not bitwise equal
+// to those of an older revision of the iteration (see Revision).
 func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	if !opts.Prevalidated {
@@ -235,7 +248,7 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 
 	// STEP 1: initial queue lengths and throughputs — from the warm seed
 	// where one is supplied and usable, the Init rule otherwise.
-	qE, tE, sE, lam, prev, totQ := ws.qE, ws.tE, ws.sE, ws.lam, ws.prev, ws.totQ
+	qE, lam := ws.qE, ws.lam
 	warm := opts.Warm
 	if !warm.matches(nSt, nCh) {
 		warm = nil
@@ -253,32 +266,62 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		}
 	}
 
+	iters, swept := 0, 0
+	for b := 0; b < sp.Blocks(); b++ {
+		n, err := ws.solveBlock(net, sp, b, &opts, &swept)
+		if err != nil {
+			return nil, err
+		}
+		iters = max(iters, n)
+	}
+	return ws.solution(sp, iters, opts.Method.String()), nil
+}
+
+// solveBlock runs block b's chains to their own fixed point and returns
+// the sweeps it took (0 for a block with no active chain). swept counts
+// sweeps across the blocks of one solve, the clock of the Context and
+// SweepBudget polls.
+func (ws *Workspace) solveBlock(net *qnet.Network, sp *qnet.Sparse, b int, opts *Options, swept *int) (int, error) {
+	chains, stations := sp.Block(b)
+	active := ws.active
+	anyActive := false
+	for _, r := range chains {
+		anyActive = anyActive || active[r]
+	}
+	if !anyActive {
+		return 0, nil
+	}
+	qE, tE, sE, lam, prev, totQ := ws.qE, ws.tE, ws.sE, ws.lam, ws.prev, ws.totQ
+	qOld, lamStep := ws.qOld, ws.lamStep
+	// A chain alone in its block shares no non-IS station, so its
+	// inflated service times are the raw ones whatever the throughputs,
+	// and the σ of the first sweep holds for the whole solve.
+	sigmaFixed := len(chains) == 1
 	// Extrapolation state: the full-state step norms of the two previous
 	// sweeps, the plain sweeps since the start or the last jump, and
 	// whether the previous sweep was followed by a jump.
 	var norm1, norm2 float64
 	plain, jumped := 0, false
-	qOld, lamStep := ws.qOld, ws.lamStep
 	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if err := sweepGate(&opts, iter); err != nil {
-			return nil, err
+		*swept++
+		if err := sweepGate(opts, *swept); err != nil {
+			return 0, err
 		}
 		// STEP 3's sum_j N_ij, accumulated once per sweep from the
 		// station-major transpose (chains ascending — the dense summation
 		// order) instead of per (station, chain) pair.
-		for i := 0; i < nSt; i++ {
-			if sp.IsIS[i] {
-				continue
-			}
+		for _, i := range stations {
 			total := 0.0
 			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
 				total += qE[sp.StatEntry[m]]
 			}
 			totQ[i] = total
 		}
-		copy(prev, lam)
+		for _, r := range chains {
+			prev[r] = lam[r]
+		}
 		dq2 := 0.0
-		for r := 0; r < nCh; r++ {
+		for _, r := range chains {
 			if !active[r] {
 				continue
 			}
@@ -292,8 +335,8 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 					sE[e] = qE[e] * inv
 				}
 			default: // SigmaHeuristic
-				if iter == 1 || !ws.sigmaFixed[r] {
-					ws.sigmaFixed[r] = !ws.chainSigma(sp, r, pop, prev)
+				if iter == 1 || !sigmaFixed {
+					ws.chainSigma(sp, int(r), pop, prev)
 				}
 			}
 			// STEPs 3–4: queue times t_ir = s_ir (1 + sum_j N_ij - sigma_ir)
@@ -322,11 +365,11 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 				dq2 += d * d
 			}
 		}
-		// STEP 6: stopping condition on the full state. A sweep that
-		// follows a jump measured its λ step against a λ no sweep
+		// STEP 6: stopping condition on the block's full state. A sweep
+		// that follows a jump measured its λ step against a λ no sweep
 		// produced, so it never stops the solve.
 		dl2, dot := 0.0, 0.0
-		for r := 0; r < nCh; r++ {
+		for _, r := range chains {
 			d := lam[r] - prev[r]
 			dl2 += d * d
 			dot += d * lamStep[r]
@@ -334,7 +377,7 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		}
 		dl, dq := math.Sqrt(dl2), math.Sqrt(dq2)
 		if !jumped && dl < opts.Tol && dq < opts.Tol {
-			return ws.solution(sp, iter, opts.Method.String()), nil
+			return iter, nil
 		}
 		// Extrapolation (rule above): sum the iteration's geometric tail.
 		jumped = false
@@ -342,22 +385,22 @@ func Approximate(net *qnet.Network, opts Options) (*Solution, error) {
 		if plain++; plain >= 3 {
 			rho, rhoPrev := norm/norm2, norm2/norm1
 			if rho < 0.9 && math.Abs(rho-rhoPrev) <= 0.1*rho && dot > 0 &&
-				ws.extrapolate(sp, rho/(1-rho)) {
+				ws.extrapolate(sp, chains, rho/(1-rho)) {
 				plain, jumped = 0, true
 			}
 		}
 		norm1, norm2 = norm2, norm
 	}
-	return nil, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
+	return 0, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
 		ErrNotConverged, opts.MaxIter, opts.Method, opts.Tol)
 }
 
-// extrapolate moves every active chain's λ and queue lengths by f times
-// their last sweep's step, and reports whether it did: a jump that would
-// take a throughput to zero or below, or a queue length below zero, is
-// not taken.
-func (w *Workspace) extrapolate(sp *qnet.Sparse, f float64) bool {
-	for r := 0; r < sp.NCh; r++ {
+// extrapolate moves the λ and queue lengths of every active chain in
+// chains by f times their last sweep's step, and reports whether it did:
+// a jump that would take a throughput to zero or below, or a queue length
+// below zero, is not taken.
+func (w *Workspace) extrapolate(sp *qnet.Sparse, chains []int32, f float64) bool {
+	for _, r := range chains {
 		if !w.active[r] {
 			continue
 		}
@@ -370,7 +413,7 @@ func (w *Workspace) extrapolate(sp *qnet.Sparse, f float64) bool {
 			}
 		}
 	}
-	for r := 0; r < sp.NCh; r++ {
+	for _, r := range chains {
 		if !w.active[r] {
 			continue
 		}
@@ -441,33 +484,24 @@ func coldSeedChain(ch *qnet.Chain, sp *qnet.Sparse, r int, init Initialization, 
 // σ_ij(r-) is taken as zero (eq. 4.11), which STEP 3 realises by
 // subtracting sigma only for the arriving chain.
 //
-// The other chains' utilisation at a station is read off the station-major
-// transpose (only the chains actually visiting the station contribute, via
-// the precompiled demand array) at the throughputs lam. The recursion
-// keeps only N(d-1) and N(d). chainSigma reports whether any other chain
-// shares one of chain r's non-IS stations; when none does (every
-// single-chain network), the inflated service times are the raw ones
-// whatever the throughputs, so the σ just computed holds for the whole
-// solve.
-func (w *Workspace) chainSigma(sp *qnet.Sparse, r, pop int, lam numeric.Vector) (shared bool) {
+// The other chains' utilisation at a station is summed over the entry's
+// precompiled co-visitor list (qnet.Sparse.CoPtr) at the throughputs lam;
+// an entry without co-visitors keeps its raw service time, which is what
+// s/(1-0) gives.
+func (w *Workspace) chainSigma(sp *qnet.Sparse, r, pop int, lam numeric.Vector) {
 	const maxRho = 0.999 // clamp: transient iterates can overshoot capacity
 	lo, hi := sp.ChainPtr[r], sp.ChainPtr[r+1]
 	deg := int(hi - lo)
 	servInf := w.servInf[:deg]
 	for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
-		// IS stations have a server per customer: other chains occupy
-		// them without delaying anyone, so no inflation.
-		if sp.EntIS[e] {
+		cLo, cHi := sp.CoPtr[e], sp.CoPtr[e+1]
+		if cLo == cHi {
 			servInf[k] = sp.EntServ[e]
 			continue
 		}
-		i := sp.EntStation[e]
 		other := 0.0
-		for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
-			if j := int(sp.StatChain[m]); j != r {
-				other += lam[j] * sp.EntDemand[sp.StatEntry[m]]
-				shared = true
-			}
+		for m := cLo; m < cHi; m++ {
+			other += lam[sp.CoChain[m]] * sp.CoDemand[m]
 		}
 		if other > maxRho {
 			other = maxRho
@@ -475,30 +509,31 @@ func (w *Workspace) chainSigma(sp *qnet.Sparse, r, pop int, lam numeric.Vector) 
 		servInf[k] = sp.EntServ[e] / (1 - other)
 	}
 	// The exact single-chain MVA recursion (ExactSingleChain's arithmetic
-	// order) from N(0) = 0; each step stores t_i in nCur and then scales
-	// it into N_i(d) in place.
-	nPrev, nCur := w.nPrev[:deg], w.nCur[:deg]
-	clear(nPrev)
+	// order) from N(0) = 0. Step d reads the previous step's queue times
+	// tPrev and throughput l, forms N(d-1) = l·V·t in the same pass that
+	// computes the new queue times, and keeps N(d-1) in nPrev; at d = 1,
+	// l = 0 and tPrev = 0 give N(0) = 0 exactly.
+	nPrev, tPrev := w.nPrev[:deg], w.tPrev[:deg]
+	clear(tPrev)
+	l := 0.0
 	for d := 1; d <= pop; d++ {
-		if d > 1 {
-			nPrev, nCur = nCur, nPrev
-		}
 		denom := 0.0
 		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
+			// The conversions keep the products rounded, as they were
+			// when stored between passes: no fused multiply-add.
+			n := float64(l * sp.EntVisit[e] * tPrev[k])
+			nPrev[k] = n
 			t := servInf[k]
 			if !sp.EntIS[e] {
-				t = servInf[k] * (1 + nPrev[k])
+				t = servInf[k] * (1 + n)
 			}
-			nCur[k] = t
+			tPrev[k] = t
 			denom += sp.EntVisit[e] * t
 		}
-		l := float64(d) / denom
-		for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
-			nCur[k] = l * sp.EntVisit[e] * nCur[k]
-		}
+		l = float64(d) / denom
 	}
 	for k, e := 0, lo; e < hi; k, e = k+1, e+1 {
-		s := nCur[k] - nPrev[k]
+		s := float64(l*sp.EntVisit[e]*tPrev[k]) - nPrev[k]
 		if s < 0 {
 			s = 0
 		} else if s > 1 {
@@ -506,5 +541,4 @@ func (w *Workspace) chainSigma(sp *qnet.Sparse, r, pop int, lam numeric.Vector) 
 		}
 		w.sE[e] = s
 	}
-	return shared
 }

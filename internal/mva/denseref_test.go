@@ -8,6 +8,7 @@ package mva
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/numeric"
 	"repro/internal/qnet"
@@ -18,7 +19,10 @@ import (
 // chains per (station, chain) pair, and the σ sub-problem recursion is
 // recomputed from population 1 each sweep for every chain (production
 // reuses σ only where the inputs cannot change, so recomputing changes
-// nothing).
+// nothing). It runs each block of chains (denseBlocks, found by its own
+// search rather than read off qnet.Sparse) to its own fixed point, as
+// Approximate does; the dense sums still run over every chain and
+// station, and the other blocks' terms in them are exact zeros.
 func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
 	if !opts.Prevalidated {
@@ -67,12 +71,80 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 	prev := numeric.NewVector(nCh)
 	qOld := numeric.NewMatrix(nSt, nCh)
 	lamStep := numeric.NewVector(nCh)
+	iters := 0
+	for _, blk := range denseBlocks(net) {
+		n, err := denseSolveBlock(net, blk, active, opts, q, t, sigma, qOld, lam, prev, lamStep)
+		if err != nil {
+			return nil, err
+		}
+		iters = max(iters, n)
+	}
+	sol.Iterations = iters
+	sol.Solver = opts.Method.String()
+	copy(sol.Throughput, lam)
+	for i := 0; i < nSt; i++ {
+		for r := 0; r < nCh; r++ {
+			sol.QueueTime.Set(i, r, t.At(i, r))
+			sol.QueueLen.Set(i, r, q.At(i, r))
+		}
+	}
+	return sol, nil
+}
+
+// denseBlocks partitions the chains into blocks the dense way: a
+// breadth-first search over "shares a non-IS station with positive visits
+// to both", started from each chain not yet placed, in increasing order.
+// Each block is returned sorted ascending, and the blocks come in order
+// of their smallest chain.
+func denseBlocks(net *qnet.Network) [][]int {
+	nSt, nCh := net.N(), net.R()
+	placed := make([]bool, nCh)
+	var blocks [][]int
+	for r0 := 0; r0 < nCh; r0++ {
+		if placed[r0] {
+			continue
+		}
+		placed[r0] = true
+		blk := []int{r0}
+		for k := 0; k < len(blk); k++ {
+			r := blk[k]
+			for j := 0; j < nCh; j++ {
+				if placed[j] {
+					continue
+				}
+				for i := 0; i < nSt; i++ {
+					if net.Stations[i].Kind != qnet.IS && net.Chains[r].Visits[i] > 0 && net.Chains[j].Visits[i] > 0 {
+						placed[j] = true
+						blk = append(blk, j)
+						break
+					}
+				}
+			}
+		}
+		slices.Sort(blk)
+		blocks = append(blocks, blk)
+	}
+	return blocks
+}
+
+// denseSolveBlock runs one block's chains to their own fixed point over
+// the dense state and returns the sweeps it took (0 when no chain of the
+// block is active).
+func denseSolveBlock(net *qnet.Network, blk []int, active []bool, opts Options, q, t, sigma, qOld *numeric.Matrix, lam, prev, lamStep numeric.Vector) (int, error) {
+	nSt, nCh := net.N(), net.R()
+	anyActive := false
+	for _, r := range blk {
+		anyActive = anyActive || active[r]
+	}
+	if !anyActive {
+		return 0, nil
+	}
 	var norm1, norm2 float64
 	plain, jumped := 0, false
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		switch opts.Method {
 		case Schweitzer:
-			for r := 0; r < nCh; r++ {
+			for _, r := range blk {
 				if !active[r] {
 					continue
 				}
@@ -82,11 +154,11 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 				}
 			}
 		default:
-			if err := denseSigma(net, active, lam, sigma); err != nil {
-				return nil, err
+			if err := denseSigma(net, blk, active, lam, sigma); err != nil {
+				return 0, err
 			}
 		}
-		for r := 0; r < nCh; r++ {
+		for _, r := range blk {
 			if !active[r] {
 				continue
 			}
@@ -111,7 +183,7 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 			}
 		}
 		copy(prev, lam)
-		for r := 0; r < nCh; r++ {
+		for _, r := range blk {
 			if !active[r] {
 				continue
 			}
@@ -125,7 +197,7 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 			lam[r] = float64(ch.Population) / denom
 		}
 		dq2 := 0.0
-		for r := 0; r < nCh; r++ {
+		for _, r := range blk {
 			if !active[r] {
 				continue
 			}
@@ -143,7 +215,7 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 			}
 		}
 		dl2, dot := 0.0, 0.0
-		for r := 0; r < nCh; r++ {
+		for _, r := range blk {
 			d := lam[r] - prev[r]
 			dl2 += d * d
 			dot += d * lamStep[r]
@@ -151,39 +223,30 @@ func denseApproximate(net *qnet.Network, opts Options) (*Solution, error) {
 		}
 		dl, dq := math.Sqrt(dl2), math.Sqrt(dq2)
 		if !jumped && dl < opts.Tol && dq < opts.Tol {
-			sol.Iterations = iter
-			sol.Solver = opts.Method.String()
-			copy(sol.Throughput, lam)
-			for i := 0; i < nSt; i++ {
-				for r := 0; r < nCh; r++ {
-					sol.QueueTime.Set(i, r, t.At(i, r))
-					sol.QueueLen.Set(i, r, q.At(i, r))
-				}
-			}
-			return sol, nil
+			return iter, nil
 		}
 		jumped = false
 		norm := math.Hypot(dl, dq)
 		if plain++; plain >= 3 {
 			rho, rhoPrev := norm/norm2, norm2/norm1
 			if rho < 0.9 && math.Abs(rho-rhoPrev) <= 0.1*rho && dot > 0 &&
-				denseExtrapolate(net, active, lam, lamStep, q, qOld, rho/(1-rho)) {
+				denseExtrapolate(net, blk, active, lam, lamStep, q, qOld, rho/(1-rho)) {
 				plain, jumped = 0, true
 			}
 		}
 		norm1, norm2 = norm2, norm
 	}
-	return nil, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
+	return 0, fmt.Errorf("%w after %d sweeps (method %v, tol %g)",
 		ErrNotConverged, opts.MaxIter, opts.Method, opts.Tol)
 }
 
 // denseExtrapolate is the extrapolation jump over the dense state: every
-// active chain's λ and queue lengths move by f times their last step,
-// unless that would take a throughput to zero or a queue length below
-// zero.
-func denseExtrapolate(net *qnet.Network, active []bool, lam, lamStep numeric.Vector, q, qOld *numeric.Matrix, f float64) bool {
-	nSt, nCh := net.N(), net.R()
-	for r := 0; r < nCh; r++ {
+// active chain of the block has its λ and queue lengths moved by f times
+// their last step, unless that would take a throughput to zero or a queue
+// length below zero.
+func denseExtrapolate(net *qnet.Network, blk []int, active []bool, lam, lamStep numeric.Vector, q, qOld *numeric.Matrix, f float64) bool {
+	nSt := net.N()
+	for _, r := range blk {
 		if !active[r] {
 			continue
 		}
@@ -196,7 +259,7 @@ func denseExtrapolate(net *qnet.Network, active []bool, lam, lamStep numeric.Vec
 			}
 		}
 	}
-	for r := 0; r < nCh; r++ {
+	for _, r := range blk {
 		if !active[r] {
 			continue
 		}
@@ -267,7 +330,7 @@ func denseSeedChainFromWarm(warm *WarmStart, r, nSt, pop int, visits []float64, 
 	return true
 }
 
-func denseSigma(net *qnet.Network, active []bool, lam numeric.Vector, sigma *numeric.Matrix) error {
+func denseSigma(net *qnet.Network, blk []int, active []bool, lam numeric.Vector, sigma *numeric.Matrix) error {
 	nSt, nCh := net.N(), net.R()
 	const maxRho = 0.999
 	visits := numeric.NewVector(nSt)
@@ -276,7 +339,7 @@ func denseSigma(net *qnet.Network, active []bool, lam numeric.Vector, sigma *num
 	for i := 0; i < nSt; i++ {
 		isStation[i] = net.Stations[i].Kind == qnet.IS
 	}
-	for r := 0; r < nCh; r++ {
+	for _, r := range blk {
 		if !active[r] {
 			continue
 		}

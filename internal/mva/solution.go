@@ -27,7 +27,8 @@ type Solution struct {
 	// visit to station i (queueing + service).
 	QueueTime *numeric.Matrix
 	// Iterations counts fixed-point sweeps for the approximate solvers
-	// (0 for exact recursions).
+	// (0 for exact recursions). Approximate solves each block of chains
+	// to its own fixed point and reports the slowest block's count.
 	Iterations int
 	// Solver names the algorithm that produced the solution ("exact-mva",
 	// "sigma-heuristic", "schweitzer", "linearizer", ...). Resilient

@@ -39,7 +39,7 @@ func randomNetwork(s *rng.Stream) *qnet.Network {
 			if visits[i] > 0 {
 				continue
 			}
-			visits[i] = []float64{0.5, 1, 1, 2}[s.Intn(4)]
+			visits[i] = []float64{0.5, 1, 1.5, 2}[s.Intn(4)]
 			serv[i] = 0.05 + 0.4*s.Float64()
 			placed++
 		}

@@ -73,14 +73,11 @@ type Workspace struct {
 	// sweep's throughput step: the state the extrapolation reads.
 	qOld    []float64
 	lamStep numeric.Vector
-	// sigmaFixed[r] marks a chain whose σ, computed on the first sweep,
-	// holds for the whole solve (see chainSigma).
-	sigmaFixed []bool
 
 	// σ sub-problem scratch, indexed by position along one chain's route
-	// (so at most nSt long): the inflated service times and the rolling
-	// N(d-1), N(d) queue-length vectors of the single-chain recursion.
-	servInf, nPrev, nCur numeric.Vector
+	// (so at most nSt long): the inflated service times, and the
+	// single-chain recursion's N(d-1) and latest queue times.
+	servInf, nPrev, tPrev numeric.Vector
 
 	// compiledSp caches the sparse view Approximate compiles when the
 	// caller supplies none; keyed by backing-array identity
@@ -111,14 +108,13 @@ func (w *Workspace) ensure(nSt, nCh int) {
 	}
 	w.nSt, w.nCh = nSt, nCh
 	w.active = make([]bool, nCh)
-	w.sigmaFixed = make([]bool, nCh)
 	w.lam = numeric.NewVector(nCh)
 	w.prev = numeric.NewVector(nCh)
 	w.lamStep = numeric.NewVector(nCh)
 	w.totQ = numeric.NewVector(nSt)
 	w.servInf = numeric.NewVector(nSt)
 	w.nPrev = numeric.NewVector(nSt)
-	w.nCur = numeric.NewVector(nSt)
+	w.tPrev = numeric.NewVector(nSt)
 	w.compiledSp = nil
 	w.lastSp = nil
 	w.sol = newSolution(nSt, nCh)

@@ -57,6 +57,28 @@ type Sparse struct {
 	// denominator).
 	DemandSum []float64
 
+	// Co-visitors: entry e's co-visitors CoPtr[e]..CoPtr[e+1] (exclusive)
+	// are the other chains' entries at the same station, in increasing
+	// chain order, with CoChain[m] the chain and CoDemand[m] its demand
+	// there. Entries at IS stations have none: other chains occupy an IS
+	// station without delaying anyone.
+	CoPtr    []int32
+	CoChain  []int32
+	CoDemand []float64
+
+	// Blocks: two chains are coupled when they share a non-IS station,
+	// and a block is a connected component of that relation. Block b's
+	// chains are BlockChain[BlockPtr[b]:BlockPtr[b+1]] in increasing
+	// order, and the non-IS stations they visit are
+	// BlockStat[BlockStatPtr[b]:BlockStatPtr[b+1]] in increasing order;
+	// blocks are ordered by their smallest chain. No state of one block
+	// enters another's fixed-point equations, so the solvers may run each
+	// block to its own fixed point.
+	BlockPtr     []int32
+	BlockChain   []int32
+	BlockStatPtr []int32
+	BlockStat    []int32
+
 	// Identity of the source arrays, for Matches: a network whose station
 	// and per-chain slices are the very same backing arrays is guaranteed
 	// (by the immutability convention) to carry the same compiled values.
@@ -148,7 +170,128 @@ func Compile(n *Network) *Sparse {
 			sp.StatEntry[m] = e
 		}
 	}
+	sp.compileCoVisitors()
+	sp.compileBlocks()
 	return sp
+}
+
+// compileCoVisitors fills the co-visitor lists from the transpose.
+func (sp *Sparse) compileCoVisitors() {
+	total := len(sp.EntStation)
+	sp.CoPtr = make([]int32, total+1)
+	n := 0
+	for e := 0; e < total; e++ {
+		sp.CoPtr[e] = int32(n)
+		if i := sp.EntStation[e]; !sp.IsIS[i] {
+			n += int(sp.StatPtr[i+1]-sp.StatPtr[i]) - 1
+		}
+	}
+	sp.CoPtr[total] = int32(n)
+	sp.CoChain = make([]int32, n)
+	sp.CoDemand = make([]float64, n)
+	for r := 0; r < sp.NCh; r++ {
+		for e := sp.ChainPtr[r]; e < sp.ChainPtr[r+1]; e++ {
+			i := sp.EntStation[e]
+			if sp.IsIS[i] {
+				continue
+			}
+			k := sp.CoPtr[e]
+			for m := sp.StatPtr[i]; m < sp.StatPtr[i+1]; m++ {
+				if j := sp.StatChain[m]; j != int32(r) {
+					sp.CoChain[k] = j
+					sp.CoDemand[k] = sp.EntDemand[sp.StatEntry[m]]
+					k++
+				}
+			}
+		}
+	}
+}
+
+// compileBlocks partitions the chains into blocks (union-find over the
+// non-IS stations' visitor lists) and lists each block's chains and
+// stations.
+func (sp *Sparse) compileBlocks() {
+	parent := make([]int32, sp.NCh)
+	for r := range parent {
+		parent[r] = int32(r)
+	}
+	find := func(r int32) int32 {
+		for parent[r] != r {
+			parent[r] = parent[parent[r]]
+			r = parent[r]
+		}
+		return r
+	}
+	for i := 0; i < sp.NSt; i++ {
+		if sp.IsIS[i] || sp.StatPtr[i] == sp.StatPtr[i+1] {
+			continue
+		}
+		first := find(sp.StatChain[sp.StatPtr[i]])
+		for m := sp.StatPtr[i] + 1; m < sp.StatPtr[i+1]; m++ {
+			// Link under the smaller root, so every root is its block's
+			// smallest chain.
+			if j := find(sp.StatChain[m]); j < first {
+				parent[first], first = j, j
+			} else if j > first {
+				parent[j] = first
+			}
+		}
+	}
+	// Number the blocks in order of their smallest chain (the root), then
+	// counting-sort chains and stations into them; both passes run in
+	// increasing order, so each block's lists come out ascending.
+	block := make([]int32, sp.NCh)
+	nb := int32(0)
+	for r := 0; r < sp.NCh; r++ {
+		if root := find(int32(r)); root == int32(r) {
+			block[r] = nb
+			nb++
+		} else {
+			block[r] = block[root]
+		}
+	}
+	sp.BlockPtr = make([]int32, nb+1)
+	sp.BlockStatPtr = make([]int32, nb+1)
+	for r := 0; r < sp.NCh; r++ {
+		sp.BlockPtr[block[r]+1]++
+	}
+	nStat := 0
+	for i := 0; i < sp.NSt; i++ {
+		if !sp.IsIS[i] && sp.StatPtr[i] < sp.StatPtr[i+1] {
+			sp.BlockStatPtr[block[sp.StatChain[sp.StatPtr[i]]]+1]++
+			nStat++
+		}
+	}
+	for b := int32(0); b < nb; b++ {
+		sp.BlockPtr[b+1] += sp.BlockPtr[b]
+		sp.BlockStatPtr[b+1] += sp.BlockStatPtr[b]
+	}
+	sp.BlockChain = make([]int32, sp.NCh)
+	sp.BlockStat = make([]int32, nStat)
+	next := append([]int32(nil), sp.BlockPtr[:nb]...)
+	for r := 0; r < sp.NCh; r++ {
+		b := block[r]
+		sp.BlockChain[next[b]] = int32(r)
+		next[b]++
+	}
+	copy(next, sp.BlockStatPtr[:nb])
+	for i := 0; i < sp.NSt; i++ {
+		if !sp.IsIS[i] && sp.StatPtr[i] < sp.StatPtr[i+1] {
+			b := block[sp.StatChain[sp.StatPtr[i]]]
+			sp.BlockStat[next[b]] = int32(i)
+			next[b]++
+		}
+	}
+}
+
+// Blocks returns the number of blocks.
+func (s *Sparse) Blocks() int { return len(s.BlockPtr) - 1 }
+
+// Block returns block b's chains and the non-IS stations they visit, both
+// ascending.
+func (s *Sparse) Block(b int) (chains, stations []int32) {
+	return s.BlockChain[s.BlockPtr[b]:s.BlockPtr[b+1]],
+		s.BlockStat[s.BlockStatPtr[b]:s.BlockStatPtr[b+1]]
 }
 
 // Deg returns the number of stations chain r visits (its route length in
