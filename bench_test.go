@@ -2,8 +2,10 @@ package repro
 
 // Benchmark harness: one benchmark per table and figure of the thesis's
 // evaluation (run `go test -bench=. -benchmem`), plus micro-benchmarks of
-// the solver kernels. The same code paths are printed by cmd/paperbench;
-// EXPERIMENTS.md records paper-vs-measured values.
+// the solver kernels. Tables 4.7 and 4.8 are ledger entries
+// (ledger_test.go: BenchmarkLedger/Table47, /Table48). The same code
+// paths are printed by cmd/paperbench; EXPERIMENTS.md records
+// paper-vs-measured values.
 
 import (
 	"testing"
@@ -16,28 +18,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
-
-// BenchmarkTable47 regenerates Table 4.7 (symmetric loadings, 2-class).
-func BenchmarkTable47(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table47(core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != len(experiments.Table47Rates) {
-			b.Fatal("short table")
-		}
-	}
-}
-
-// BenchmarkTable48 regenerates Table 4.8 (dissimilar loadings, 2-class).
-func BenchmarkTable48(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table48(core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkFig49 regenerates Fig. 4.9 (power vs load for fixed windows).
 func BenchmarkFig49(b *testing.B) {
@@ -213,18 +193,6 @@ func BenchmarkConvolution4Class(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := convolution.Solve(model); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWindimDimension times a full WINDIM run on the 2-class
-// network.
-func BenchmarkWindimDimension(b *testing.B) {
-	n := topo.Canada2Class(20, 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Dimension(n, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,7 +44,6 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "run everything")
 	evaluator := fs.String("evaluator", "sigma", "candidate evaluator for the tables: sigma, schweitzer, linearizer, exact")
 	workers := fs.Int("workers", 1, "parallel candidate evaluations for the dimensioning runs")
-	jsonOut := fs.String("json", "", "run the benchmark suite and write machine-readable results to this file (- for stdout)")
 	prof := cliutil.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,9 +58,6 @@ func run(args []string) error {
 		return err
 	}
 	opts := core.Options{Workers: *workers, Evaluator: ev}
-	if *jsonOut != "" {
-		return runJSONBench(*jsonOut, opts)
-	}
 	ran := false
 	runIf := func(cond bool, f func() error) error {
 		if !cond {

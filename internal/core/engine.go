@@ -22,7 +22,8 @@ import (
 // warm-start seed, the per-candidate cost drops from "build + validate
 // + cold-solve" to a handful of warm fixed-point sweeps with near-zero
 // allocations — the difference WINDIM's inner loop is measured by in
-// BenchmarkEvaluateEngine and BenchmarkDimensionWarmVsCold.
+// BenchmarkEvaluateEngine and the root work ledger's DimensionCold and
+// DimensionWarm entries.
 //
 // An Engine is safe for concurrent Evaluate/ObjectiveValue calls (each
 // borrows a pooled evaluation state); Commit must not run concurrently

@@ -2,8 +2,8 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -328,26 +328,32 @@ func EstimateOracleBytes(n *netmodel.Network, maxWindow int) (int64, error) {
 // networkKey fingerprints everything the convolution lattice depends on
 // except the chain populations: station disciplines and capacity
 // functions, and per-chain visit ratios and service times, all floats
-// taken bit-exactly.
+// taken bit-exactly. Each field is one little-endian word and each list
+// is preceded by its length, so the encoding is unambiguous. The key is
+// built without fmt, whose pooled printers make a caller's allocation
+// count depend on when the collector last ran.
 func networkKey(net *qnet.Network) string {
-	h := sha256.New()
+	var buf []byte
+	word := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	floats := func(vs []float64) {
+		word(uint64(len(vs)))
+		for _, v := range vs {
+			word(math.Float64bits(v))
+		}
+	}
+	word(uint64(len(net.Stations)))
 	for i := range net.Stations {
 		st := &net.Stations[i]
-		fmt.Fprintf(h, "s%d k=%d srv=%d ol=%x rf=", i, st.Kind, st.Servers, math.Float64bits(st.OpenLoad))
-		for _, r := range st.RateFactors {
-			fmt.Fprintf(h, "%x,", math.Float64bits(r))
-		}
+		word(uint64(st.Kind))
+		word(uint64(st.Servers))
+		word(math.Float64bits(st.OpenLoad))
+		floats(st.RateFactors)
 	}
+	word(uint64(len(net.Chains)))
 	for r := range net.Chains {
-		ch := &net.Chains[r]
-		fmt.Fprintf(h, "|c%d v=", r)
-		for _, v := range ch.Visits {
-			fmt.Fprintf(h, "%x,", math.Float64bits(v))
-		}
-		fmt.Fprintf(h, " st=")
-		for _, v := range ch.ServTime {
-			fmt.Fprintf(h, "%x,", math.Float64bits(v))
-		}
+		floats(net.Chains[r].Visits)
+		floats(net.Chains[r].ServTime)
 	}
-	return string(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mva"
 	"repro/internal/numeric"
+	"repro/internal/qnet"
 	"repro/internal/topo"
 )
 
@@ -208,5 +210,48 @@ func TestExactEngineOversizedCandidate(t *testing.T) {
 	}
 	if me.Power != md.Power {
 		t.Errorf("oversized candidate: engine-run power %v vs direct %v", me.Power, md.Power)
+	}
+}
+
+// TestNetworkKeySeparatesStructure: the oracle-cache key ignores chain
+// populations and changes with every field the lattice depends on.
+func TestNetworkKeySeparatesStructure(t *testing.T) {
+	model, _, err := topo.Canada4Class(6, 6, 6, 12).ClosedModel(numeric.IntVector{1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// clone copies every slice the key reads, so each edit stays local.
+	clone := func() *qnet.Network {
+		c := &qnet.Network{Stations: slices.Clone(model.Stations), Chains: slices.Clone(model.Chains)}
+		for i := range c.Stations {
+			c.Stations[i].RateFactors = slices.Clone(c.Stations[i].RateFactors)
+		}
+		for r := range c.Chains {
+			c.Chains[r].Visits = slices.Clone(c.Chains[r].Visits)
+			c.Chains[r].ServTime = slices.Clone(c.Chains[r].ServTime)
+		}
+		return c
+	}
+	key := networkKey(model)
+	pops := clone()
+	pops.Chains[2].Population = 9
+	if networkKey(pops) != key {
+		t.Error("a population change altered the key")
+	}
+	edits := map[string]func(*qnet.Network){
+		"kind":        func(n *qnet.Network) { n.Stations[1].Kind = qnet.IS },
+		"servers":     func(n *qnet.Network) { n.Stations[1].Servers = 2 },
+		"open load":   func(n *qnet.Network) { n.Stations[1].OpenLoad = 0.25 },
+		"rate factor": func(n *qnet.Network) { n.Stations[1].RateFactors = []float64{1, 2} },
+		"visit":       func(n *qnet.Network) { n.Chains[0].Visits[3] += 1 },
+		"service":     func(n *qnet.Network) { n.Chains[3].ServTime[0] += 1 },
+		"chains":      func(n *qnet.Network) { n.Chains = n.Chains[:3] },
+	}
+	for name, edit := range edits {
+		n := clone()
+		edit(n)
+		if networkKey(n) == key {
+			t.Errorf("%s change left the key unchanged", name)
+		}
 	}
 }

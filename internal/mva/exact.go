@@ -38,8 +38,8 @@ func ExactMultichain(net *qnet.Network) (*Solution, error) {
 	nSt, nCh := net.N(), net.R()
 	// The compiled visit lists make each lattice point cost O(total route
 	// length); compilation itself is O(N·R), invisible next to the
-	// exponential walk.
-	sp := qnet.Compile(net)
+	// exponential walk. The recursion reads only the chain-major lists.
+	sp := qnet.CompileRoutes(net)
 	// totals[p*nSt + i] = total mean queue length at station i for
 	// population vector p. Only totals are needed by the recursion; the
 	// per-chain split is reconstructed at the top point.

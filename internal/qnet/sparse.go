@@ -90,6 +90,19 @@ type Sparse struct {
 // Compile builds the sparse view of a validated network. The network's
 // populations are ignored; see the type comment for the reuse contract.
 func Compile(n *Network) *Sparse {
+	sp := CompileRoutes(n)
+	sp.compileTranspose()
+	sp.compileCoVisitors()
+	sp.compileBlocks()
+	return sp
+}
+
+// CompileRoutes builds only the chain-major lists (ChainPtr, the Ent*
+// arrays), IsIS and DemandSum: everything a solver that walks one
+// chain's route at a time reads. The transpose, co-visitor and block
+// fields stay nil. The exact recursion compiles once per solve, so it
+// skips the parts it never reads.
+func CompileRoutes(n *Network) *Sparse {
 	nSt, nCh := n.N(), n.R()
 	total := 0
 	for r := range n.Chains {
@@ -147,9 +160,14 @@ func Compile(n *Network) *Sparse {
 		sp.DemandSum[r] = d
 	}
 	sp.ChainPtr[nCh] = int32(e)
+	return sp
+}
 
-	// Transpose: counting sort over stations keeps chains ascending per
-	// station because the chain-major pass above runs in chain order.
+// compileTranspose fills the station-major lists. A counting sort over
+// stations keeps chains ascending per station because the chain-major
+// lists run in chain order.
+func (sp *Sparse) compileTranspose() {
+	nSt, nCh, total := sp.NSt, sp.NCh, len(sp.EntStation)
 	sp.StatPtr = make([]int32, nSt+1)
 	sp.StatChain = make([]int32, total)
 	sp.StatEntry = make([]int32, total)
@@ -170,9 +188,6 @@ func Compile(n *Network) *Sparse {
 			sp.StatEntry[m] = e
 		}
 	}
-	sp.compileCoVisitors()
-	sp.compileBlocks()
-	return sp
 }
 
 // compileCoVisitors fills the co-visitor lists from the transpose.

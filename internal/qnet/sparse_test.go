@@ -2,6 +2,7 @@ package qnet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -133,6 +134,36 @@ func TestCompileFidelity(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: entry %d missing from transpose", trial, e)
 			}
+		}
+	}
+}
+
+// TestCompileRoutesIsCompilesChainMajorPart: CompileRoutes yields
+// exactly Compile's chain-major lists, IS flags and demand sums (bitwise),
+// matches its network, and builds none of the station-major, co-visitor
+// or block fields.
+func TestCompileRoutesIsCompilesChainMajorPart(t *testing.T) {
+	master := rng.New(0x7047e5)
+	for trial := 0; trial < 50; trial++ {
+		net := randomSparseNet(master.Split(uint64(trial)))
+		full, routes := Compile(net), CompileRoutes(net)
+		same := routes.NSt == full.NSt && routes.NCh == full.NCh &&
+			slices.Equal(routes.ChainPtr, full.ChainPtr) &&
+			slices.Equal(routes.EntStation, full.EntStation) &&
+			slices.Equal(routes.EntVisit, full.EntVisit) &&
+			slices.Equal(routes.EntServ, full.EntServ) &&
+			slices.Equal(routes.EntDemand, full.EntDemand) &&
+			slices.Equal(routes.EntIS, full.EntIS) &&
+			slices.Equal(routes.IsIS, full.IsIS) &&
+			slices.Equal(routes.DemandSum, full.DemandSum)
+		if !same {
+			t.Fatalf("trial %d: CompileRoutes differs from Compile's chain-major lists", trial)
+		}
+		if !routes.Matches(net) {
+			t.Fatalf("trial %d: CompileRoutes view does not match its network", trial)
+		}
+		if routes.StatPtr != nil || routes.CoPtr != nil || routes.BlockPtr != nil {
+			t.Fatalf("trial %d: CompileRoutes built more than the chain-major lists", trial)
 		}
 	}
 }
